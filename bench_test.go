@@ -13,6 +13,7 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/cache"
+	"qosrma/internal/cluster"
 	"qosrma/internal/core"
 	"qosrma/internal/equilibrium"
 	"qosrma/internal/experiments"
@@ -589,6 +590,7 @@ func BenchmarkClusterRun(b *testing.B) {
 	opt := experiments.DefaultClusterOptions()
 	opt.Machines = 2
 	opt.Jobs = 8
+	b.ResetTimer() // the shared environment build is set-up, not the run
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunCluster(env.DB4, opt)
 		if err != nil {
@@ -596,6 +598,31 @@ func BenchmarkClusterRun(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(res.EnergySavings*100, "fleetSavings%")
+		}
+	}
+}
+
+// BenchmarkClusterEquilibrium measures one fleet run in the benchmark's
+// fleet-eq trace shape: 8 machines, 48 Poisson jobs at a 0.125 s mean
+// interarrival, RM2 with slack 0.2, equilibrium placement. A fresh scorer
+// per run, so every run pays its own curve builds and fills its own
+// payoff memo, as each cluster run does.
+func BenchmarkClusterEquilibrium(b *testing.B) {
+	env := benchEnv(b)
+	opt := experiments.DefaultClusterOptions()
+	opt.Machines = 8
+	opt.Jobs = 48
+	opt.MeanInterarrivalSec = 0.125
+	opt.Placement = cluster.PlaceEquilibrium
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunCluster(env.DB4, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(res.EnergySavings*100, "fleetSavings%")
+			b.ReportMetric(float64(res.EquilibriumFallbacks), "fallbacks")
 		}
 	}
 }

@@ -55,9 +55,10 @@ const (
 	// warm-started from the fleet's current layout), then admits the
 	// arrival to its equilibrium machine. Running tenants never migrate —
 	// the equilibrium is the placement's lookahead, not a physical
-	// reshuffle — and when the equilibrium machine has no physically free
-	// core (a tenant moved off it only virtually) the policy falls back
-	// to scored placement for that arrival.
+	// reshuffle. The policy falls back to scored placement for an arrival
+	// whose game has no certified equilibrium, or whose equilibrium
+	// machine has no physically free core (a tenant moved off it only
+	// virtually); Result counts both.
 	PlaceEquilibrium
 )
 
@@ -141,6 +142,13 @@ type Result struct {
 	// Interval-level QoS audit aggregated across machines.
 	Intervals          int
 	IntervalViolations int
+	// EquilibriumFallbacks counts the arrivals equilibrium placement
+	// handed to scored placement (zero under the other policies).
+	// NoEquilibrium counts those of them whose game had no certified
+	// equilibrium (equilibrium.ErrNoEquilibrium); the rest had an
+	// equilibrium machine with no physically free core.
+	EquilibriumFallbacks int
+	NoEquilibrium        int
 }
 
 // departure is one job leaving a machine.
@@ -152,14 +160,17 @@ type departure struct {
 	app     rmasim.AppResult
 }
 
+// noTenant marks an idle core in machine.ids.
+const noTenant simdb.BenchID = -1
+
 // machine is one simulated host: a resumable co-phase simulation plus the
 // occupancy bookkeeping the placement loop reads.
 type machine struct {
 	id    int
 	sim   *rmasim.Sim
 	mgr   *core.Manager
-	apps  []string // per-core tenant benchmark ("" = idle)
-	jobOn []int    // per-core job index (-1 = idle)
+	ids   []simdb.BenchID // per-core tenant benchmark (noTenant = idle)
+	jobOn []int           // per-core job index (-1 = idle)
 	free  int
 }
 
@@ -181,7 +192,7 @@ func (m *machine) stepOnce() ([]departure, error) {
 			time: m.sim.Now(), machine: m.id, coreID: coreID,
 			job: m.jobOn[coreID], app: app,
 		})
-		m.apps[coreID] = ""
+		m.ids[coreID] = noTenant
 		m.jobOn[coreID] = -1
 		m.free++
 	}
@@ -220,10 +231,10 @@ func (m *machine) drain() ([]departure, error) {
 }
 
 // tenants appends the machine's current applications to buf.
-func (m *machine) tenants(buf []string) []string {
-	for _, app := range m.apps {
-		if app != "" {
-			buf = append(buf, app)
+func (m *machine) tenants(buf []simdb.BenchID) []simdb.BenchID {
+	for _, id := range m.ids {
+		if id != noTenant {
+			buf = append(buf, id)
 		}
 	}
 	return buf
@@ -234,6 +245,7 @@ type engine struct {
 	db       *simdb.DB
 	spec     Spec
 	jobs     []workload.Arrival
+	jobIDs   []simdb.BenchID // interned benchmark of each job
 	machines []*machine
 	scorer   *sched.Scorer
 	results  []JobResult
@@ -243,12 +255,15 @@ type engine struct {
 
 	// Placement scratch, held on the engine so the per-arrival scoring
 	// loop is allocation-free on warm scorer caches: the candidate tenant
-	// list and the scorer's curve/DP buffers (sched.ScoreBuf).
-	tenantBuf []string
+	// tuple and the scorer's curve/DP buffers (sched.ScoreBuf).
+	tenantBuf []simdb.BenchID
 	scoreBuf  sched.ScoreBuf
-	// Equilibrium-placement scratch (player list and warm-start profile).
-	eqPlayers []string
-	eqInitial []int
+	// Equilibrium-placement scratch (player list and warm-start profile)
+	// and fallback counters.
+	eqPlayers     []simdb.BenchID
+	eqInitial     []int
+	fallbacks     int
+	noEquilibrium int
 }
 
 // Run executes the scenario against the database and returns the fleet
@@ -277,10 +292,13 @@ func Run(db *simdb.DB, spec Spec) (*Result, error) {
 		}
 		return e.jobs[i].ID < e.jobs[j].ID
 	})
-	for _, j := range e.jobs {
-		if _, ok := db.BenchIDOf(j.Bench); !ok {
+	e.jobIDs = make([]simdb.BenchID, len(e.jobs))
+	for i, j := range e.jobs {
+		id, ok := db.BenchIDOf(j.Bench)
+		if !ok {
 			return nil, fmt.Errorf("cluster: no analysis for %s (job %d)", j.Bench, j.ID)
 		}
+		e.jobIDs[i] = id
 		if j.TimeSec < 0 {
 			return nil, fmt.Errorf("cluster: job %d arrives at negative time %g", j.ID, j.TimeSec)
 		}
@@ -307,11 +325,12 @@ func Run(db *simdb.DB, spec Spec) (*Result, error) {
 			id:    i,
 			sim:   rmasim.NewIdle(db, mgr, opt),
 			mgr:   mgr,
-			apps:  make([]string, n),
+			ids:   make([]simdb.BenchID, n),
 			jobOn: make([]int, n),
 			free:  n,
 		}
 		for c := range e.machines[i].jobOn {
+			e.machines[i].ids[c] = noTenant
 			e.machines[i].jobOn[c] = -1
 		}
 	}
@@ -399,7 +418,7 @@ func (e *engine) run() error {
 // scored choice when no certified equilibrium (or no physically free
 // equilibrium slot) exists.
 func (e *engine) place(ji int) error {
-	job := e.jobs[ji]
+	job, id := e.jobs[ji], e.jobIDs[ji]
 	best := -1
 	if e.spec.Placement == PlaceFirstFit {
 		for _, m := range e.machines {
@@ -411,13 +430,13 @@ func (e *engine) place(ji int) error {
 	} else {
 		var err error
 		if e.spec.Placement == PlaceEquilibrium {
-			best, err = e.pickEquilibrium(job.Bench)
+			best, err = e.pickEquilibrium(id)
 		}
 		if err != nil {
 			return err
 		}
 		if best < 0 {
-			if best, err = e.pickScored(job.Bench); err != nil {
+			if best, err = e.pickScored(id); err != nil {
 				return err
 			}
 		}
@@ -434,15 +453,17 @@ func (e *engine) place(ji int) error {
 // full). It runs on the engine-held scratch (tenantBuf/scoreBuf), so on
 // warm scorer caches the whole loop performs zero heap allocations —
 // pinned by TestPlacementLoopAllocationFree.
-func (e *engine) pickScored(bench string) (int, error) {
+//
+//qosrma:noalloc
+func (e *engine) pickScored(id simdb.BenchID) (int, error) {
 	best, bestScore := -1, math.Inf(-1)
 	for _, m := range e.machines {
 		if m.free == 0 {
 			continue
 		}
 		e.tenantBuf = m.tenants(e.tenantBuf[:0])
-		e.tenantBuf = append(e.tenantBuf, bench)
-		s, err := e.scorer.ScoreInto(e.tenantBuf, &e.scoreBuf)
+		e.tenantBuf = append(e.tenantBuf, id)
+		s, err := e.scorer.ScoreIDs(e.tenantBuf, &e.scoreBuf)
 		if err != nil {
 			return -1, err
 		}
@@ -459,16 +480,17 @@ func (e *engine) pickScored(bench string) (int, error) {
 // position in the job order, so runs are bit-deterministic regardless of
 // Workers. It returns -1 (caller falls back to scored placement) when the
 // fleet is full, no start certifies an equilibrium, or the equilibrium
-// machine has no physically free core.
-func (e *engine) pickEquilibrium(bench string) (int, error) {
+// machine has no physically free core; the last two count as fallbacks.
+// Any other solver error is returned.
+func (e *engine) pickEquilibrium(id simdb.BenchID) (int, error) {
 	free := 0
 	e.eqPlayers = e.eqPlayers[:0]
 	e.eqInitial = e.eqInitial[:0]
 	for _, m := range e.machines {
 		free += m.free
-		for _, app := range m.apps {
-			if app != "" {
-				e.eqPlayers = append(e.eqPlayers, app)
+		for _, tenant := range m.ids {
+			if tenant != noTenant {
+				e.eqPlayers = append(e.eqPlayers, tenant)
 				e.eqInitial = append(e.eqInitial, m.id)
 			}
 		}
@@ -478,27 +500,33 @@ func (e *engine) pickEquilibrium(bench string) (int, error) {
 	}
 	// Warm-start the arrival on the lowest-indexed free machine.
 	arrival := len(e.eqPlayers)
-	e.eqPlayers = append(e.eqPlayers, bench)
+	e.eqPlayers = append(e.eqPlayers, id)
 	for _, m := range e.machines {
 		if m.free > 0 {
 			e.eqInitial = append(e.eqInitial, m.id)
 			break
 		}
 	}
-	eq, err := equilibrium.Solve(e.scorer, e.eqPlayers, equilibrium.Config{
+	eq, err := equilibrium.SolveIDs(e.scorer, e.eqPlayers, equilibrium.Config{
 		Machines: len(e.machines),
 		Capacity: e.db.Sys.NumCores,
 		Seed:     stats.SeedFrom(uint64(arrival), "cluster/equilibrium-place"),
 		Initial:  e.eqInitial,
 	})
-	if err != nil {
-		// An unsolvable game (every start cycled) is not a scenario
+	if errors.Is(err, equilibrium.ErrNoEquilibrium) {
+		// A game without a certified equilibrium is not a scenario
 		// error: degrade to scored placement deterministically.
+		e.fallbacks++
+		e.noEquilibrium++
 		return -1, nil
+	}
+	if err != nil {
+		return -1, err
 	}
 	if m := e.machines[eq.Assignment[arrival]]; m.free > 0 {
 		return m.id, nil
 	}
+	e.fallbacks++
 	return -1, nil
 }
 
@@ -518,7 +546,7 @@ func (e *engine) admit(ji int, m *machine, t float64) error {
 	if err := m.sim.Arrive(coreID, job.Bench); err != nil {
 		return err
 	}
-	m.apps[coreID] = job.Bench
+	m.ids[coreID] = e.jobIDs[ji]
 	m.jobOn[coreID] = ji
 	m.free--
 	e.placed[ji] = true
@@ -594,10 +622,12 @@ func (e *engine) parallelEach(f func(*machine) ([]departure, error)) error {
 // finish validates completion and aggregates the fleet result.
 func (e *engine) finish() (*Result, error) {
 	res := &Result{
-		Scheme:    e.spec.Scheme.String(),
-		Placement: e.spec.Placement.String(),
-		Jobs:      e.results,
-		Machines:  make([]MachineResult, len(e.machines)),
+		Scheme:               e.spec.Scheme.String(),
+		Placement:            e.spec.Placement.String(),
+		Jobs:                 e.results,
+		Machines:             make([]MachineResult, len(e.machines)),
+		EquilibriumFallbacks: e.fallbacks,
+		NoEquilibrium:        e.noEquilibrium,
 	}
 	var sumE, sumBaseE, sumWait float64
 	for ji := range e.results {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/core"
+	"qosrma/internal/equilibrium"
 	"qosrma/internal/sched"
 	"qosrma/internal/simdb"
 	"qosrma/internal/trace"
@@ -216,37 +218,102 @@ func TestEquilibriumPlacementDeterministic(t *testing.T) {
 // TestPlacementLoopAllocationFree pins the engine-held scratch: once the
 // scorer caches are warm, scoring every candidate machine for an arrival
 // (pickScored) performs zero heap allocations — the fix for the fresh
-// ScoreBuf the old loop allocated per candidate machine per arrival.
+// ScoreBuf the old loop allocated per candidate machine per arrival. The
+// warm-up scores every tenant tuple the pin queries, so the measured
+// calls take the payoff memo's hit path, and their choice must match a
+// cold scorer's.
 func TestPlacementLoopAllocationFree(t *testing.T) {
 	db := testDB(t)
-	names := db.BenchNames()
-	e := &engine{db: db, scorer: sched.NewScorer(db)}
-	for i := 0; i < 3; i++ {
-		m := &machine{id: i, apps: make([]string, db.Sys.NumCores), jobOn: []int{-1, -1}}
-		m.apps[0] = names[i] // one tenant, one free core per machine
-		m.free = db.Sys.NumCores - 1
-		e.machines = append(e.machines, m)
+	newEngine := func() *engine {
+		e := &engine{db: db, scorer: sched.NewScorer(db)}
+		for i := 0; i < 3; i++ {
+			// One tenant, one free core per machine.
+			m := &machine{id: i, ids: []simdb.BenchID{simdb.BenchID(i), noTenant}, jobOn: []int{-1, -1}, free: 1}
+			e.machines = append(e.machines, m)
+		}
+		return e
 	}
-	warm := func(bench string) int {
-		best, err := e.pickScored(bench)
+	e := newEngine()
+	pick := func(e *engine, id simdb.BenchID) int {
+		best, err := e.pickScored(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return best
 	}
-	for _, bench := range names { // warm every curve the pin will touch
-		warm(bench)
+	for id := 0; id < db.NumBenches(); id++ { // warm every tuple the pin will touch
+		pick(e, simdb.BenchID(id))
 	}
-	if best := warm(names[3]); best < 0 || best >= len(e.machines) {
-		t.Fatalf("pickScored chose machine %d", best)
+	for id := 0; id < db.NumBenches(); id++ {
+		if got, want := pick(e, simdb.BenchID(id)), pick(newEngine(), simdb.BenchID(id)); got != want {
+			t.Fatalf("memoized pick for bench %d chose machine %d, cold scorer %d", id, got, want)
+		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.pickScored(names[4]); err != nil {
+		if _, err := e.pickScored(4); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm placement loop allocates %.1f objects per arrival, want 0", allocs)
+	}
+}
+
+// TestEquilibriumFallbacksCounted: only equilibrium placement falls back,
+// every fallback is one placed arrival, and the fixture's games exercise
+// the counter.
+func TestEquilibriumFallbacksCounted(t *testing.T) {
+	db := testDB(t)
+	for _, p := range []Placement{PlaceScored, PlaceFirstFit, PlaceEquilibrium} {
+		spec := testSpec(db, 14, 0.3)
+		spec.Placement = p
+		res, err := Run(db, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != PlaceEquilibrium {
+			if res.EquilibriumFallbacks != 0 || res.NoEquilibrium != 0 {
+				t.Fatalf("%s placement counted %d fallbacks (%d without equilibrium)",
+					p, res.EquilibriumFallbacks, res.NoEquilibrium)
+			}
+			continue
+		}
+		if res.NoEquilibrium > res.EquilibriumFallbacks || res.EquilibriumFallbacks > len(res.Jobs) {
+			t.Fatalf("fallback counters inconsistent: %d fallbacks, %d without equilibrium, %d jobs",
+				res.EquilibriumFallbacks, res.NoEquilibrium, len(res.Jobs))
+		}
+		if res.EquilibriumFallbacks == 0 {
+			t.Fatal("fixture never falls back: the counter is untested")
+		}
+	}
+}
+
+// TestPickEquilibriumReturnsSolverErrors: a solver failure other than
+// equilibrium.ErrNoEquilibrium — here a tenant the scorer cannot score —
+// reaches place's caller instead of turning into a scored fallback.
+func TestPickEquilibriumReturnsSolverErrors(t *testing.T) {
+	db := testDB(t)
+	bad := simdb.BenchID(db.NumBenches()) // not in the database
+	e := &engine{
+		db:     db,
+		spec:   Spec{Placement: PlaceEquilibrium},
+		jobs:   []workload.Arrival{{ID: 0, Bench: db.BenchNames()[0]}},
+		jobIDs: []simdb.BenchID{0},
+		scorer: sched.NewScorer(db),
+		machines: []*machine{
+			{id: 0, ids: []simdb.BenchID{bad, noTenant}, jobOn: []int{-1, -1}, free: 1},
+			{id: 1, ids: []simdb.BenchID{noTenant, noTenant}, jobOn: []int{-1, -1}, free: 2},
+		},
+	}
+	err := e.place(0)
+	if err == nil {
+		t.Fatal("scorer failure swallowed into a fallback")
+	}
+	if errors.Is(err, equilibrium.ErrNoEquilibrium) {
+		t.Fatalf("scorer failure reported as no equilibrium: %v", err)
+	}
+	if e.fallbacks != 0 || e.noEquilibrium != 0 {
+		t.Fatalf("failed solve counted as a fallback (%d, %d)", e.fallbacks, e.noEquilibrium)
 	}
 }
 

@@ -27,13 +27,21 @@
 package equilibrium
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"qosrma/internal/sched"
+	"qosrma/internal/simdb"
 	"qosrma/internal/stats"
 )
+
+// ErrNoEquilibrium reports that no start of a solve reached a certified
+// pure Nash equilibrium: every start cycled, exceeded MaxRounds or failed
+// the certificate. It is the one Solve error a caller may answer with a
+// fallback policy; any other error is a fault in the inputs or the oracle.
+var ErrNoEquilibrium = errors.New("equilibrium: no pure Nash equilibrium found")
 
 // Config shapes one equilibrium computation.
 type Config struct {
@@ -91,20 +99,21 @@ type Equilibrium struct {
 	Certified bool
 }
 
-// withDefaults validates cfg against the oracle and fills defaults.
-func (cfg Config) withDefaults(sc *sched.Scorer, players []string) (Config, error) {
+// withDefaults validates cfg against the oracle and the player count and
+// fills defaults.
+func (cfg Config) withDefaults(sc *sched.Scorer, players int) (Config, error) {
 	if cfg.Machines < 1 {
 		return cfg, fmt.Errorf("equilibrium: need at least one machine, got %d", cfg.Machines)
 	}
 	if cfg.Capacity < 1 || cfg.Capacity > sc.Cores() {
 		return cfg, fmt.Errorf("equilibrium: capacity %d outside 1..%d", cfg.Capacity, sc.Cores())
 	}
-	if len(players) == 0 {
+	if players == 0 {
 		return cfg, fmt.Errorf("equilibrium: no players")
 	}
-	if len(players) > cfg.Machines*cfg.Capacity {
+	if players > cfg.Machines*cfg.Capacity {
 		return cfg, fmt.Errorf("equilibrium: %d players exceed fleet capacity %d",
-			len(players), cfg.Machines*cfg.Capacity)
+			players, cfg.Machines*cfg.Capacity)
 	}
 	if cfg.Restarts <= 0 {
 		cfg.Restarts = 4
@@ -119,9 +128,9 @@ func (cfg Config) withDefaults(sc *sched.Scorer, players []string) (Config, erro
 		cfg.Tol = 1e-12
 	}
 	if cfg.Initial != nil {
-		if len(cfg.Initial) != len(players) {
+		if len(cfg.Initial) != players {
 			return cfg, fmt.Errorf("equilibrium: initial assignment has %d entries for %d players",
-				len(cfg.Initial), len(players))
+				len(cfg.Initial), players)
 		}
 		occ := make([]int, cfg.Machines)
 		for p, m := range cfg.Initial {
@@ -140,42 +149,47 @@ func (cfg Config) withDefaults(sc *sched.Scorer, players []string) (Config, erro
 // game is the per-start dynamics state.
 type game struct {
 	sc      *sched.Scorer
-	players []string
+	players []simdb.BenchID
 	cfg     Config
 
 	assign []int
 	occ    []int
 	buf    sched.ScoreBuf
-	apps   []string // tenant-list scratch, rebuilt per payoff query
+	ids    []simdb.BenchID // tenant-tuple scratch, rebuilt per payoff query
 }
 
 // tenantsWith appends machine m's tenants in ascending player order into
-// g.apps, with player p's strategy overridden to pm (pass p = -1 to take
+// g.ids, with player p's strategy overridden to pm (pass p = -1 to take
 // the profile as is). The ascending-index order is the canonical tenant
 // order everywhere in this package, so a payoff evaluated for a deviation
-// is bit-identical to the machine's score after actually moving.
-func (g *game) tenantsWith(m, p, pm int) []string {
-	g.apps = g.apps[:0]
+// is bit-identical to the machine's score after actually moving — and is
+// the same memo entry of the scorer.
+//
+//qosrma:noalloc
+func (g *game) tenantsWith(m, p, pm int) []simdb.BenchID {
+	g.ids = g.ids[:0]
 	for q, qm := range g.assign {
 		if q == p {
 			qm = pm
 		}
 		if qm == m {
-			g.apps = append(g.apps, g.players[q])
+			g.ids = append(g.ids, g.players[q])
 		}
 	}
-	return g.apps
+	return g.ids
 }
 
 // payoff scores machine m with player p's strategy overridden to pm.
 func (g *game) payoff(m, p, pm int) (float64, error) {
-	return g.sc.ScoreInto(g.tenantsWith(m, p, pm), &g.buf)
+	return g.sc.ScoreIDs(g.tenantsWith(m, p, pm), &g.buf)
 }
 
 // bestResponse moves player p to its best feasible machine; it reports
 // whether p moved. Deviations are profitable only beyond Tol, and ties
 // keep the lowest machine index (the current machine wins all ties), so
 // the dynamics are deterministic.
+//
+//qosrma:noalloc
 func (g *game) bestResponse(p int) (bool, error) {
 	cur := g.assign[p]
 	curPay, err := g.payoff(cur, -1, 0)
@@ -218,7 +232,7 @@ func profileKey(assign []int) string {
 // solveStart runs one seeded start to a certified equilibrium, or reports
 // (nil, nil) when the start cycles, exceeds MaxRounds, or fails the
 // certificate.
-func solveStart(sc *sched.Scorer, players []string, cfg Config, start int) (*Equilibrium, error) {
+func solveStart(sc *sched.Scorer, players []simdb.BenchID, cfg Config, start int) (*Equilibrium, error) {
 	rng := stats.NewRNG(stats.SeedFrom(cfg.Seed, fmt.Sprintf("equilibrium/start/%d", start)))
 	n := len(players)
 	g := &game{sc: sc, players: players, cfg: cfg,
@@ -267,7 +281,7 @@ func solveStart(sc *sched.Scorer, players []string, cfg Config, start int) (*Equ
 		seen[key] = true
 	}
 
-	ok, err := Verify(sc, players, g.assign, cfg)
+	ok, err := verify(sc, players, g.assign, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +290,7 @@ func solveStart(sc *sched.Scorer, players []string, cfg Config, start int) (*Equ
 	}
 	eq := &Equilibrium{
 		Assignment: g.assign,
-		Machines:   tenantLists(players, g.assign, cfg.Machines),
+		Machines:   tenantLists(sc, players, g.assign, cfg.Machines),
 		Payoffs:    make([]float64, n),
 		Rounds:     rounds,
 		Start:      start,
@@ -305,10 +319,10 @@ func solveStart(sc *sched.Scorer, players []string, cfg Config, start int) (*Equ
 }
 
 // tenantLists derives per-machine tenant lists in ascending player order.
-func tenantLists(players []string, assign []int, machines int) [][]string {
+func tenantLists(sc *sched.Scorer, players []simdb.BenchID, assign []int, machines int) [][]string {
 	out := make([][]string, machines)
 	for p, m := range assign {
-		out[m] = append(out[m], players[p])
+		out[m] = append(out[m], sc.Name(players[p]))
 	}
 	return out
 }
@@ -316,13 +330,26 @@ func tenantLists(players []string, assign []int, machines int) [][]string {
 // Verify checks the no-improvement certificate from scratch: for every
 // player and every feasible alternative machine, the unilateral deviation
 // payoff must not beat the player's current payoff by more than Tol. It
-// shares no state with the dynamics, so a true result is an independent
-// proof that assign is a pure Nash equilibrium of the scorer's game.
+// rebuilds the occupancy from assign and shares no dynamics state with
+// Solve, so a true result is an independent proof that assign is a pure
+// Nash equilibrium of the scorer's game. It does share the scorer's
+// payoff memo: a payoff the dynamics already queried is a memo hit, which
+// returns the bits the oracle computed for that same ordered tenant tuple,
+// so the certificate is exactly the one a cold oracle would give.
 func Verify(sc *sched.Scorer, players []string, assign []int, cfg Config) (bool, error) {
-	cfg, err := cfg.withDefaults(sc, players)
+	cfg, err := cfg.withDefaults(sc, len(players))
 	if err != nil {
 		return false, err
 	}
+	ids, err := sc.AppendIDs(nil, players)
+	if err != nil {
+		return false, err
+	}
+	return verify(sc, ids, assign, cfg)
+}
+
+// verify is Verify over interned players and a defaulted config.
+func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config) (bool, error) {
 	if len(assign) != len(players) {
 		return false, fmt.Errorf("equilibrium: assignment has %d entries for %d players",
 			len(assign), len(players))
@@ -360,12 +387,22 @@ func Verify(sc *sched.Scorer, players []string, assign []int, cfg Config) (bool,
 // the master loop explores cfg.Restarts seeded starts (in parallel on
 // cfg.Workers, bit-identically for any worker count) and returns the
 // certified equilibrium with the highest fleet objective, ties broken by
-// the lowest start index. It fails when every start cycles or fails the
-// certificate — callers with a fallback policy (the cluster engine)
-// degrade gracefully; tests assert this never fires on the shipped
-// scenarios.
+// the lowest start index. Players are interned once per call; every
+// payoff query then goes through the scorer's payoff memo, which the
+// parallel starts share. When every start cycles, exceeds MaxRounds or
+// fails the certificate, the error wraps ErrNoEquilibrium — callers with
+// a fallback policy (the cluster engine) degrade on that error alone.
 func Solve(sc *sched.Scorer, players []string, cfg Config) (*Equilibrium, error) {
-	cfg, err := cfg.withDefaults(sc, players)
+	ids, err := sc.AppendIDs(make([]simdb.BenchID, 0, len(players)), players)
+	if err != nil {
+		return nil, err
+	}
+	return SolveIDs(sc, ids, cfg)
+}
+
+// SolveIDs is Solve over interned players.
+func SolveIDs(sc *sched.Scorer, players []simdb.BenchID, cfg Config) (*Equilibrium, error) {
+	cfg, err := cfg.withDefaults(sc, len(players))
 	if err != nil {
 		return nil, err
 	}
@@ -398,8 +435,7 @@ func Solve(sc *sched.Scorer, players []string, cfg Config) (*Equilibrium, error)
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("equilibrium: no pure Nash equilibrium found in %d starts (raise Restarts/MaxRounds)",
-			cfg.Restarts)
+		return nil, fmt.Errorf("%w in %d starts (raise Restarts/MaxRounds)", ErrNoEquilibrium, cfg.Restarts)
 	}
 	best.Starts = cfg.Restarts
 	return best, nil

@@ -1,6 +1,9 @@
 package equilibrium
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,6 +11,7 @@ import (
 	"qosrma/internal/arch"
 	"qosrma/internal/sched"
 	"qosrma/internal/simdb"
+	"qosrma/internal/stats"
 	"qosrma/internal/trace"
 )
 
@@ -277,5 +281,304 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Verify(sc, players, []int{0}, Config{Machines: 2, Capacity: 2}); err == nil {
 		t.Fatal("short assignment accepted by Verify")
+	}
+}
+
+// refSolve is the solver as it stood before the scorer's payoff memo and
+// the BenchID port: best-response dynamics, certificate and fleet
+// objective over bench-name tuples, with every payoff computed by a fresh
+// scorer, so nothing is memoized, not even curves. It is kept alive as
+// the bit-identity reference for Solve; it returns nil where Solve must
+// report ErrNoEquilibrium.
+func refSolve(t *testing.T, db *simdb.DB, players []string, cfg Config) *Equilibrium {
+	t.Helper()
+	score := func(apps []string) float64 {
+		s, err := sched.NewScorer(db).Score(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cfg, err := cfg.withDefaults(sched.NewScorer(db), len(players))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(players)
+	var best *Equilibrium
+	for start := 0; start < cfg.Restarts; start++ {
+		rng := stats.NewRNG(stats.SeedFrom(cfg.Seed, fmt.Sprintf("equilibrium/start/%d", start)))
+		assign, occ := make([]int, n), make([]int, cfg.Machines)
+		if start == 0 && cfg.Initial != nil {
+			copy(assign, cfg.Initial)
+		} else {
+			var slots []int
+			for m := 0; m < cfg.Machines; m++ {
+				for c := 0; c < cfg.Capacity; c++ {
+					slots = append(slots, m)
+				}
+			}
+			rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+			copy(assign, slots[:n])
+		}
+		for _, m := range assign {
+			occ[m]++
+		}
+		order := rng.Perm(n)
+		tenants := func(m, mover, to int) []string {
+			var apps []string
+			for p, pm := range assign {
+				if p == mover {
+					pm = to
+				}
+				if pm == m {
+					apps = append(apps, players[p])
+				}
+			}
+			return apps
+		}
+		// deviation returns p's most profitable move, or its own machine.
+		deviation := func(p int) int {
+			cur := assign[p]
+			bestM, bestPay := cur, score(tenants(cur, -1, 0))
+			for m := 0; m < cfg.Machines; m++ {
+				if m == cur || occ[m] >= cfg.Capacity {
+					continue
+				}
+				if pay := score(tenants(m, p, m)); pay > bestPay+cfg.Tol {
+					bestM, bestPay = m, pay
+				}
+			}
+			return bestM
+		}
+		seen := map[string]bool{profileKey(assign): true}
+		rounds, converged := 0, false
+		for rounds < cfg.MaxRounds {
+			rounds++
+			moved := false
+			for _, p := range order {
+				if m := deviation(p); m != assign[p] {
+					occ[assign[p]]--
+					occ[m]++
+					assign[p] = m
+					moved = true
+				}
+			}
+			if !moved {
+				converged = true
+				break
+			}
+			key := profileKey(assign)
+			if seen[key] {
+				break
+			}
+			seen[key] = true
+		}
+		certified := converged
+		for p := 0; certified && p < n; p++ {
+			certified = deviation(p) == assign[p]
+		}
+		if !certified {
+			continue
+		}
+		eq := &Equilibrium{Assignment: assign, Machines: make([][]string, cfg.Machines),
+			Payoffs: make([]float64, n), Rounds: rounds, Start: start, Certified: true}
+		var fleetSum float64
+		occupied := 0
+		for m := 0; m < cfg.Machines; m++ {
+			eq.Machines[m] = tenants(m, -1, 0)
+			if len(eq.Machines[m]) == 0 {
+				continue
+			}
+			s := score(eq.Machines[m])
+			fleetSum += s
+			occupied++
+			for p, pm := range assign {
+				if pm == m {
+					eq.Payoffs[p] = s
+				}
+			}
+		}
+		eq.Fleet = fleetSum / float64(occupied)
+		if best == nil || eq.Fleet > best.Fleet {
+			best = eq
+		}
+	}
+	if best != nil {
+		best.Starts = cfg.Restarts
+	}
+	return best
+}
+
+// testGame is one placement game: players and their solver config.
+type testGame struct {
+	players []string
+	cfg     Config
+}
+
+// clusterGames builds placement games shaped as the cluster engine builds
+// them on its test fixtures (two-core machines over the same six
+// benchmarks): the running tenants warm-started where they run, the
+// arrival on the lowest machine with a free core, seeded by the arrival's
+// player index. The equilibrium tests' own fixtures and one-round games,
+// one of which no start can finish, ride along.
+func clusterGames(names []string) []testGame {
+	var games []testGame
+	for machines := 2; machines <= 4; machines++ {
+		const capacity = 2
+		for tenants := 0; tenants < machines*capacity; tenants++ {
+			var players []string
+			var initial []int
+			occ := make([]int, machines)
+			for q := 0; q < tenants; q++ {
+				players = append(players, names[(5*q+machines)%len(names)])
+				initial = append(initial, q%machines)
+				occ[q%machines]++
+			}
+			players = append(players, names[(7*tenants+1)%len(names)])
+			for m := range occ {
+				if occ[m] < capacity {
+					initial = append(initial, m)
+					break
+				}
+			}
+			games = append(games, testGame{players, Config{Machines: machines, Capacity: capacity,
+				Seed: stats.SeedFrom(uint64(tenants), "cluster/equilibrium-place"), Initial: initial}})
+		}
+	}
+	return append(games,
+		testGame{names[:5], Config{Machines: 3, Capacity: 2, Seed: 11}},
+		testGame{names, Config{Machines: 4, Capacity: 2, Restarts: 6, Seed: 5}},
+		testGame{names, Config{Machines: 4, Capacity: 2, Restarts: 3, MaxRounds: 1, Seed: 1}},
+		testGame{names, Config{Machines: 4, Capacity: 2, Restarts: 3, MaxRounds: 1, Seed: 3}},
+	)
+}
+
+// TestSolveMatchesReference: on every fixture game, Solve over the
+// memoized, interned scorer returns bit for bit the equilibrium of the
+// unmemoized reference — assignment, payoffs, fleet objective, rounds and
+// winning start — or reports ErrNoEquilibrium exactly where the reference
+// finds none.
+func TestSolveMatchesReference(t *testing.T) {
+	db := testDB(t)
+	sc := sched.NewScorer(db) // one scorer across games, as in a cluster run
+	found, missing := 0, 0
+	for i, g := range clusterGames(db.BenchNames()) {
+		want := refSolve(t, db, g.players, g.cfg)
+		got, err := Solve(sc, g.players, g.cfg)
+		if want == nil {
+			if !errors.Is(err, ErrNoEquilibrium) {
+				t.Fatalf("game %d: reference finds no equilibrium, Solve returned %+v, %v", i, got, err)
+			}
+			missing++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("game %d: %v", i, err)
+		}
+		found++
+		if !reflect.DeepEqual(got.Assignment, want.Assignment) || !reflect.DeepEqual(got.Machines, want.Machines) ||
+			got.Rounds != want.Rounds || got.Start != want.Start || got.Starts != want.Starts ||
+			math.Float64bits(got.Fleet) != math.Float64bits(want.Fleet) {
+			t.Fatalf("game %d: Solve %+v, reference %+v", i, got, want)
+		}
+		for p := range want.Payoffs {
+			if math.Float64bits(got.Payoffs[p]) != math.Float64bits(want.Payoffs[p]) {
+				t.Fatalf("game %d player %d: payoff %v, reference %v", i, p, got.Payoffs[p], want.Payoffs[p])
+			}
+		}
+	}
+	if found == 0 || missing == 0 {
+		t.Fatalf("fixtures cover %d solved and %d unsolvable games, want both", found, missing)
+	}
+}
+
+// TestSolveErrors: a game that cannot converge within MaxRounds reports
+// ErrNoEquilibrium; an unknown player is an input error, not a missing
+// equilibrium, from Solve and from Verify alike.
+func TestSolveErrors(t *testing.T) {
+	db := testDB(t)
+	sc := sched.NewScorer(db)
+	players := db.BenchNames()[:4]
+	cfg := Config{Machines: 3, Capacity: 2, Restarts: 1, MaxRounds: 1, Seed: 1}
+	var initial []int
+	for _, assign := range feasibleProfiles(len(players), cfg.Machines, cfg.Capacity) {
+		ok, err := Verify(sc, players, assign, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			initial = assign
+			break
+		}
+	}
+	if initial == nil {
+		t.Fatal("every profile is an equilibrium")
+	}
+	// Some player deviates in the first round, so one round cannot reach
+	// a fixed point.
+	cfg.Initial = initial
+	if _, err := Solve(sc, players, cfg); !errors.Is(err, ErrNoEquilibrium) {
+		t.Fatalf("non-convergent game: got %v, want ErrNoEquilibrium", err)
+	}
+
+	unknown := append([]string{"nosuch"}, players[1:]...)
+	if _, err := Solve(sc, unknown, Config{Machines: 3, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
+		t.Fatalf("unknown player: Solve returned %v", err)
+	}
+	if _, err := Verify(sc, unknown, []int{0, 0, 1, 1}, Config{Machines: 3, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
+		t.Fatalf("unknown player: Verify returned %v", err)
+	}
+	bad := []simdb.BenchID{0, simdb.BenchID(db.NumBenches())}
+	if _, err := SolveIDs(sc, bad, Config{Machines: 2, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
+		t.Fatalf("out-of-range player: SolveIDs returned %v", err)
+	}
+}
+
+// TestBestResponseAllocationFree pins a warm best-response round over
+// interned players (bestResponse, tenantsWith) at zero heap allocations:
+// at a fixed point every payoff query is a memo hit on scratch the game
+// already holds.
+func TestBestResponseAllocationFree(t *testing.T) {
+	db := testDB(t)
+	sc := sched.NewScorer(db)
+	names := db.BenchNames()
+	players, err := sc.AppendIDs(nil, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Config{Machines: 4, Capacity: 2}.withDefaults(sc, len(players))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &game{sc: sc, players: players, cfg: cfg,
+		assign: make([]int, len(players)), occ: make([]int, cfg.Machines)}
+	for p := range g.assign {
+		g.assign[p] = p % cfg.Machines
+		g.occ[p%cfg.Machines]++
+	}
+	round := func() bool {
+		moved := false
+		for p := range players {
+			m, err := g.bestResponse(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved = moved || m
+		}
+		return moved
+	}
+	for r := 0; round(); r++ {
+		if r == cfg.MaxRounds {
+			t.Fatal("dynamics did not settle; pick another fixture")
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if round() {
+			t.Fatal("a player moved at a fixed point")
+		}
+		g.tenantsWith(0, 0, 0) // a deviation query, outside bestResponse too
+	})
+	if allocs != 0 {
+		t.Fatalf("warm best-response round allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -167,5 +167,9 @@ func ClusterTable(res *cluster.Result, title string) *Table {
 		res.MeanWaitSec, res.MaxWaitSec, res.MakespanSec)
 	t.AddNote("Interval audit: %d violations over %d intervals.",
 		res.IntervalViolations, res.Intervals)
+	if res.Placement == cluster.PlaceEquilibrium.String() {
+		t.AddNote("Equilibrium fallbacks: %d arrivals placed by score (%d without a certified equilibrium).",
+			res.EquilibriumFallbacks, res.NoEquilibrium)
+	}
 	return t
 }

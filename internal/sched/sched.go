@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -25,11 +26,8 @@ import (
 
 // aggregateStats builds phase-weight-averaged oracle statistics for one
 // application — the scheduler's coarse, whole-program view of it.
-func aggregateStats(db *simdb.DB, bench string, coreID int) (*core.IntervalStats, error) {
-	an := db.Analysis(bench)
-	if an == nil {
-		return nil, fmt.Errorf("sched: unknown benchmark %s", bench)
-	}
+func aggregateStats(db *simdb.DB, id simdb.BenchID, coreID int) *core.IntervalStats {
+	bd := db.Benches[id]
 	assoc := db.Sys.LLC.Assoc
 	agg := &core.IntervalStats{
 		Core:      coreID,
@@ -42,11 +40,8 @@ func aggregateStats(db *simdb.DB, bench string, coreID int) (*core.IntervalStats
 		agg.ATDLeading[c] = make([]float64, assoc+1)
 	}
 	var ilp, branch, apki float64
-	for p := 0; p < an.NumPhases; p++ {
-		rec, err := db.Record(bench, p)
-		if err != nil {
-			return nil, err
-		}
+	for p := 0; p < bd.Analysis.NumPhases; p++ {
+		rec := bd.Phases[p]
 		w := rec.Weight
 		ilp += w * rec.IlpIPC
 		branch += w * rec.BranchMPKI
@@ -67,35 +62,66 @@ func aggregateStats(db *simdb.DB, bench string, coreID int) (*core.IntervalStats
 	// Cycles consistent with the aggregate at the baseline setting.
 	pred := core.Predictor{Sys: &db.Sys, Power: db.Power, Kind: core.Model3}
 	agg.Cycles = pred.Cycles(agg, base)
-	return agg, nil
+	return agg
 }
 
-// Scorer scores machine workloads for online placement: the per-benchmark
-// whole-program statistics and energy curves behind the collocation score
-// are memoized (curves per way cap, which varies with machine occupancy),
-// so repeated Score calls — one per candidate machine per arrival in the
-// cluster engine — reduce to one AllocateWays reduction over cached
-// curves. A Scorer is safe for concurrent use; cached curves are shared
-// read-only. Cold-cache builds run outside the scorer's lock behind
-// per-key single-flight entries, so concurrent Score calls build
-// *distinct* statistics and curves in parallel (the contention profile of
-// parallel best-response rounds) while each key is still built exactly
-// once — memoized results are bit-identical to a serialized build.
+const (
+	// memoLimit bounds the entries of one scorer's payoff memo. A cluster
+	// run reaches about ten thousand distinct tenant tuples, but a service
+	// snapshot's scorer lives as long as the snapshot, so this bound, not
+	// the traffic, caps the memo's memory (a few MB). A shard that fills
+	// up is emptied and refilled.
+	memoLimit = 1 << 16
+	// memoShardBits splits the memo into 1<<memoShardBits lock stripes so
+	// parallel best-response starts, which mostly hit, rarely touch the
+	// same lock word.
+	memoShardBits = 4
+	memoShards    = 1 << memoShardBits
+)
+
+// Scorer scores machine workloads for online placement. It memoizes at
+// two levels:
+//
+//   - per benchmark, the whole-program statistics and the energy curves
+//     behind the collocation score (curves per tenant count, which sets
+//     the way cap), in dense tables indexed by simdb.BenchID;
+//   - per machine, the final score, keyed by the *ordered* tuple of the
+//     tenants' BenchIDs, so a repeated payoff query — the bulk of the
+//     equilibrium solver's work — is one map read.
+//
+// The payoff memo's key is ordered, not the sorted multiset: the
+// way-allocation DP breaks ties by tenant position and the baseline EPI is
+// a float sum in tenant order, so two orders of one multiset may differ in
+// the last bit. A memo hit therefore returns exactly the bits a fresh
+// computation of the same call would. Errors are never memoized.
+//
+// A Scorer is safe for concurrent use; cached curves are shared
+// read-only. Cold statistics and curves build behind per-entry
+// single-flight onces, so concurrent calls build distinct keys in
+// parallel while each key is still built exactly once.
 type Scorer struct {
-	db     *simdb.DB
-	mu     sync.Mutex // guards the maps and idle, never held across a build
-	agg    map[string]*aggEntry
-	curves map[curveKey]*curveEntry
-	idle   *core.Curve
+	db    *simdb.DB
+	pred  core.Predictor
+	base  arch.Setting
+	cores int
+	assoc int
+	idle  *core.Curve // the zero-cost stand-in for unoccupied cores
+
+	agg    []aggEntry   // by BenchID
+	curves []curveEntry // by BenchID*cores + tenants-1
+
+	// keyBits is the width of one tenant slot in a memo key; zero when a
+	// full machine's tuple does not fit 64 bits, which disables the memo.
+	keyBits uint
+	memo    [memoShards]memoShard
 }
 
 // aggEntry is the single-flight slot for one benchmark's whole-program
-// statistics: the winning goroutine aggregates under the entry's once
-// while other keys build concurrently.
+// statistics and its term of the baseline EPI sum.
 type aggEntry struct {
-	once sync.Once
-	st   *core.IntervalStats
-	err  error
+	once    sync.Once
+	st      *core.IntervalStats
+	baseEPI float64
 }
 
 // curveEntry is the single-flight slot for one memoized energy curve.
@@ -104,78 +130,88 @@ type curveEntry struct {
 	cv   *core.Curve
 }
 
-// curveKey identifies one memoized energy curve.
-type curveKey struct {
-	bench   string
-	maxWays int
+// memoShard is one lock-striped slice of the payoff memo.
+type memoShard struct {
+	mu sync.RWMutex
+	m  map[uint64]float64
+	_  [32]byte // pads the shard to a cache line
 }
 
 // NewScorer builds a scorer over the database.
 func NewScorer(db *simdb.DB) *Scorer {
-	return &Scorer{
+	n := db.Sys.NumCores
+	sc := &Scorer{
 		db:     db,
-		agg:    make(map[string]*aggEntry),
-		curves: make(map[curveKey]*curveEntry),
+		pred:   core.Predictor{Sys: &db.Sys, Power: db.Power, Kind: core.Model3},
+		base:   db.Sys.BaselineSetting(),
+		cores:  n,
+		assoc:  db.Sys.LLC.Assoc,
+		idle:   core.IdleCurve(db.Sys.LLC.Assoc, db.Sys.BaselineSetting()),
+		agg:    make([]aggEntry, db.NumBenches()),
+		curves: make([]curveEntry, db.NumBenches()*n),
 	}
+	// Slots hold ID+1 so that no slot is zero and tuples of different
+	// lengths never share a key.
+	if b := uint(bits.Len(uint(db.NumBenches()))); b*uint(n) <= 64 {
+		sc.keyBits = b
+	}
+	for i := range sc.memo {
+		sc.memo[i].m = make(map[uint64]float64)
+	}
+	return sc
 }
 
 // Cores returns the database's machine width — the tenant capacity a
 // single Score call accepts.
-func (sc *Scorer) Cores() int { return sc.db.Sys.NumCores }
+func (sc *Scorer) Cores() int { return sc.cores }
 
-// stats returns the memoized whole-program statistics of one benchmark,
-// aggregating outside the lock behind the entry's single-flight once.
-func (sc *Scorer) stats(bench string) (*core.IntervalStats, error) {
-	sc.mu.Lock()
-	e, ok := sc.agg[bench]
-	if !ok {
-		e = &aggEntry{}
-		sc.agg[bench] = e
+// AppendIDs interns benchmark names, appending their BenchIDs to dst; it
+// fails on the first name the database does not hold.
+func (sc *Scorer) AppendIDs(dst []simdb.BenchID, names []string) ([]simdb.BenchID, error) {
+	for _, name := range names {
+		id, ok := sc.db.BenchIDOf(name)
+		if !ok {
+			return dst, fmt.Errorf("sched: unknown benchmark %s", name)
+		}
+		dst = append(dst, id)
 	}
-	sc.mu.Unlock()
-	e.once.Do(func() { e.st, e.err = aggregateStats(sc.db, bench, 0) })
-	return e.st, e.err
+	return dst, nil
 }
 
-// curve returns the memoized energy curve and whole-program statistics of
-// one benchmark under the given way cap. The curve build — the expensive
-// (size × ways × frequency) search — runs outside sc.mu: the lock only
-// publishes the entry, and the entry's once serializes builders of the
-// *same* key while different keys proceed in parallel.
-func (sc *Scorer) curve(bench string, maxWays int, pred core.Predictor) (*core.Curve, *core.IntervalStats, error) {
-	st, err := sc.stats(bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := curveKey{bench: bench, maxWays: maxWays}
-	sc.mu.Lock()
-	e, ok := sc.curves[key]
-	if !ok {
-		e = &curveEntry{}
-		sc.curves[key] = e
-	}
-	sc.mu.Unlock()
-	e.once.Do(func() { e.cv = pred.BuildCurve(st, core.LocalOptions{MaxWays: maxWays}) })
-	return e.cv, st, nil
+// Name returns the benchmark name of an interned ID.
+func (sc *Scorer) Name(id simdb.BenchID) string { return sc.db.BenchName(id) }
+
+// stats returns the memoized whole-program statistics of one benchmark.
+func (sc *Scorer) stats(id simdb.BenchID) *aggEntry {
+	e := &sc.agg[id]
+	e.once.Do(func() {
+		e.st = aggregateStats(sc.db, id, 0)
+		e.baseEPI = sc.pred.EPI(e.st, sc.base)
+	})
+	return e
 }
 
-// idleCurve returns the scorer's shared zero-cost stand-in curve.
-func (sc *Scorer) idleCurve() *core.Curve {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.idle == nil {
-		sc.idle = core.IdleCurve(sc.db.Sys.LLC.Assoc, sc.db.Sys.BaselineSetting())
-	}
-	return sc.idle
+// curve returns the memoized energy curve of one benchmark on a machine
+// of the given tenant count. One way is reserved per *present*
+// co-runner, so the ways of the machine's unoccupied cores are genuinely
+// available to the tenants — the same occupancy-aware cap the online
+// manager applies.
+func (sc *Scorer) curve(id simdb.BenchID, st *core.IntervalStats, tenants int) *core.Curve {
+	e := &sc.curves[int(id)*sc.cores+tenants-1]
+	e.once.Do(func() {
+		e.cv = sc.pred.BuildCurve(st, core.LocalOptions{MaxWays: sc.assoc - (tenants - 1)})
+	})
+	return e.cv
 }
 
-// ScoreBuf is a reusable scratch buffer for ScoreInto: the per-call curve
-// slice of Score plus the way-allocation DP scratch, owned by the caller
-// so a serving shard (or placement loop) scoring thousands of candidate
-// machines allocates once and is then allocation-free on warm caches. The
-// zero value is ready to use; a ScoreBuf must not be shared between
-// concurrent ScoreInto calls.
+// ScoreBuf is reusable scratch for ScoreInto and ScoreIDs: the interned
+// tenant list, the per-call curve slice and the way-allocation DP
+// scratch, owned by the caller so a serving shard (or placement loop)
+// scoring thousands of candidate machines allocates once and is then
+// allocation-free on warm caches. The zero value is ready to use; a
+// ScoreBuf must not be shared between concurrent calls.
 type ScoreBuf struct {
+	ids    []simdb.BenchID
 	curves []*core.Curve
 	ways   core.WaysScratch
 }
@@ -194,44 +230,75 @@ func (sc *Scorer) Score(apps []string) (float64, error) {
 // ScoreInto is Score with caller-owned scratch (see ScoreBuf); results are
 // bit-identical to Score.
 func (sc *Scorer) ScoreInto(apps []string, buf *ScoreBuf) (float64, error) {
-	n := sc.db.Sys.NumCores
-	if len(apps) == 0 || len(apps) > n {
-		return 0, fmt.Errorf("sched: machine holds 1..%d apps, got %d", n, len(apps))
+	ids, err := sc.AppendIDs(buf.ids[:0], apps)
+	buf.ids = ids
+	if err != nil {
+		return 0, err
 	}
-	pred := core.Predictor{Sys: &sc.db.Sys, Power: sc.db.Power, Kind: core.Model3}
-	// One way is reserved per *present* co-runner, so the ways of the
-	// machine's unoccupied cores are genuinely available to the tenants —
-	// the same occupancy-aware cap the online manager applies.
-	maxWays := sc.db.Sys.LLC.Assoc - (len(apps) - 1)
-	base := sc.db.Sys.BaselineSetting()
+	return sc.ScoreIDs(ids, buf)
+}
 
+// ScoreIDs is ScoreInto over interned tenants, in tenant order. Repeated
+// tuples are answered from the payoff memo with the bits the first call
+// computed.
+//
+//qosrma:noalloc
+func (sc *Scorer) ScoreIDs(ids []simdb.BenchID, buf *ScoreBuf) (float64, error) {
+	if len(ids) == 0 || len(ids) > sc.cores {
+		return 0, fmt.Errorf("sched: machine holds 1..%d apps, got %d", sc.cores, len(ids))
+	}
+	var key uint64
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(sc.agg) {
+			return 0, fmt.Errorf("sched: benchmark id %d outside 0..%d", id, len(sc.agg)-1)
+		}
+		key = key<<sc.keyBits | uint64(id+1)
+	}
+	if sc.keyBits == 0 {
+		return sc.score(ids, buf), nil
+	}
+	sh := &sc.memo[key*0x9E3779B97F4A7C15>>(64-memoShardBits)] // Fibonacci hashing
+	sh.mu.RLock()
+	s, ok := sh.m[key]
+	sh.mu.RUnlock()
+	if ok {
+		return s, nil
+	}
+	s = sc.score(ids, buf)
+	sh.mu.Lock()
+	if len(sh.m) >= memoLimit/memoShards {
+		clear(sh.m)
+	}
+	sh.m[key] = s
+	sh.mu.Unlock()
+	return s, nil
+}
+
+// score computes one machine's collocation score from the cached curves.
+func (sc *Scorer) score(ids []simdb.BenchID, buf *ScoreBuf) float64 {
+	n := sc.cores
 	if cap(buf.curves) < n {
 		buf.curves = make([]*core.Curve, n)
 	}
 	curves := buf.curves[:n]
 	var baseEPI float64
-	for i, app := range apps {
-		cv, st, err := sc.curve(app, maxWays, pred)
-		if err != nil {
-			return 0, err
-		}
-		curves[i] = cv
-		baseEPI += pred.EPI(st, base)
+	for i, id := range ids {
+		a := sc.stats(id)
+		curves[i] = sc.curve(id, a.st, len(ids))
+		baseEPI += a.baseEPI
 	}
-	if len(apps) < n {
-		for i := len(apps); i < n; i++ {
-			curves[i] = sc.idleCurve()
-		}
+	for i := len(ids); i < n; i++ {
+		curves[i] = sc.idle
 	}
-	alloc, ok := core.AllocateWaysInto(curves, sc.db.Sys.LLC.Assoc, &buf.ways)
+	alloc, ok := core.AllocateWaysInto(curves, sc.assoc, &buf.ways)
 	if !ok {
-		return 0, nil
+		return 0
 	}
 	chosen := core.TotalEPI(curves, alloc)
 	if baseEPI <= 0 {
-		return 0, nil
+		return 0
 	}
-	return 1 - chosen/baseEPI, nil
+	return 1 - chosen/baseEPI
 }
 
 // PredictSavings scores one machine's workload: the energy savings the
@@ -371,10 +438,11 @@ func WorstCollocation(db *simdb.DB, apps []string, machines int) (*Assignment, e
 	}
 	var xs []scored
 	for _, app := range apps {
-		st, err := aggregateStats(db, app, 0)
-		if err != nil {
-			return nil, err
+		id, ok := db.BenchIDOf(app)
+		if !ok {
+			return nil, fmt.Errorf("sched: unknown benchmark %s", app)
 		}
+		st := aggregateStats(db, id, 0)
 		lo := st.ATDMisses[2]
 		hi := st.ATDMisses[len(st.ATDMisses)-1]
 		xs = append(xs, scored{app: app, util: lo - hi})

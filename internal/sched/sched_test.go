@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -413,5 +415,192 @@ func TestScorerPartialMachine(t *testing.T) {
 	}
 	if _, err := sc.Score([]string{"nosuch"}); err == nil {
 		t.Fatal("unknown benchmark must be rejected")
+	}
+}
+
+// orderedTuples lists every ordered tuple of 1..maxLen names, repetition
+// allowed.
+func orderedTuples(names []string, maxLen int) [][]string {
+	var out [][]string
+	var rec func(prefix []string)
+	rec = func(prefix []string) {
+		if len(prefix) > 0 {
+			out = append(out, append([]string(nil), prefix...))
+		}
+		if len(prefix) == maxLen {
+			return
+		}
+		for _, n := range names {
+			rec(append(prefix, n))
+		}
+	}
+	rec(nil)
+	return out
+}
+
+// TestScoreMemoBitIdentical: for every ordered 1..4-tuple over six
+// benchmarks, the memoized ScoreIDs and ScoreInto — cold, then memo hits,
+// then with several goroutines filling and reading one memo at once —
+// return exactly the bits of a fresh scorer's Score, and so does a scorer
+// whose memo is disabled (a machine too wide for the packed key).
+func TestScoreMemoBitIdentical(t *testing.T) {
+	db := testDB(t)
+	tuples := orderedTuples([]string{"mcf", "omnetpp", "perlbench", "gamess", "hmmer", "namd"}, db.Sys.NumCores)
+	want := make([]uint64, len(tuples))
+	for i, apps := range tuples {
+		s, err := NewScorer(db).Score(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = math.Float64bits(s)
+	}
+	// pass scores every tuple starting at offset, interned and by name,
+	// and reports the first tuple whose bits differ from the fresh score.
+	pass := func(sc *Scorer, offset int) error {
+		var buf ScoreBuf
+		var ids []simdb.BenchID
+		for k := range tuples {
+			i := (k + offset) % len(tuples)
+			var err error
+			if ids, err = sc.AppendIDs(ids[:0], tuples[i]); err != nil {
+				return err
+			}
+			byID, err := sc.ScoreIDs(ids, &buf)
+			if err != nil {
+				return err
+			}
+			byName, err := sc.ScoreInto(tuples[i], &buf)
+			if err != nil {
+				return err
+			}
+			if math.Float64bits(byID) != want[i] || math.Float64bits(byName) != want[i] {
+				return fmt.Errorf("%v: ScoreIDs %v, ScoreInto %v, fresh scorer %v",
+					tuples[i], byID, byName, math.Float64frombits(want[i]))
+			}
+		}
+		return nil
+	}
+	sc := NewScorer(db)
+	for rep := 0; rep < 2; rep++ { // cold fill, then every call a memo hit
+		if err := pass(sc, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := NewScorer(db)
+	off.keyBits = 0
+	if err := pass(off, 0); err != nil {
+		t.Fatalf("memo disabled: %v", err)
+	}
+
+	shared := NewScorer(db)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				if err := pass(shared, w*len(tuples)/workers); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestScoreMemoBounded fills one scorer with more distinct tuples than the
+// memo may hold: no shard outgrows its share of memoLimit, and every
+// answer, before and after shards are emptied, matches an unmemoized
+// scorer's bits.
+func TestScoreMemoBounded(t *testing.T) {
+	db := testDB(t)
+	names := db.BenchNames()
+	k := 2
+	for k*k*k*k <= memoLimit {
+		k++
+	}
+	if k > len(names) {
+		t.Skipf("suite has %d benchmarks, need %d to overfill the memo", len(names), k)
+	}
+	sc, ref := NewScorer(db), NewScorer(db)
+	ref.keyBits = 0
+	var buf ScoreBuf
+	ids := make([]simdb.BenchID, 4)
+	tuple := func(i int) []simdb.BenchID {
+		for j, d := 0, i; j < 4; j, d = j+1, d/k {
+			ids[j] = simdb.BenchID(d % k)
+		}
+		return ids
+	}
+	n := k * k * k * k
+	for i := 0; i < n; i++ {
+		if _, err := sc.ScoreIDs(tuple(i), &buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 31 { // evicted and surviving entries alike
+		got, err := sc.ScoreIDs(tuple(i), &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ScoreIDs(ids, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: memoized %v, unmemoized %v", ids, got, want)
+		}
+	}
+	for i := range sc.memo {
+		if n := len(sc.memo[i].m); n > memoLimit/memoShards {
+			t.Fatalf("memo shard %d holds %d entries, limit %d", i, n, memoLimit/memoShards)
+		}
+	}
+}
+
+// TestScoreIDsValidation: bad tuples are rejected and never memoized.
+func TestScoreIDsValidation(t *testing.T) {
+	db := testDB(t)
+	sc := NewScorer(db)
+	var buf ScoreBuf
+	for _, ids := range [][]simdb.BenchID{
+		nil,
+		make([]simdb.BenchID, db.Sys.NumCores+1),
+		{0, -1},
+		{simdb.BenchID(db.NumBenches())},
+	} {
+		if _, err := sc.ScoreIDs(ids, &buf); err == nil {
+			t.Fatalf("ScoreIDs(%v) accepted", ids)
+		}
+	}
+	for i := range sc.memo {
+		if n := len(sc.memo[i].m); n != 0 {
+			t.Fatalf("rejected tuples left %d memo entries in shard %d", n, i)
+		}
+	}
+}
+
+// TestScoreIDsAllocationFree pins ScoreIDs' memo-hit path at zero heap
+// allocations.
+func TestScoreIDsAllocationFree(t *testing.T) {
+	db := testDB(t)
+	sc := NewScorer(db)
+	ids, err := sc.AppendIDs(nil, eightApps[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf ScoreBuf
+	if _, err := sc.ScoreIDs(ids, &buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sc.ScoreIDs(ids, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo-hit ScoreIDs allocates %.1f objects, want 0", allocs)
 	}
 }
