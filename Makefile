@@ -16,9 +16,11 @@ BENCH_DIFF ?= benchdiff.txt
 # regenerations): the set benchdiff tracks against the committed baseline.
 # Query side: SimDBLookup/RMASimRun/... Build side: StackDistances,
 # LeadingMissSurface (fused all-(c,w) profile), SimulatePhase (per-phase
-# kernel) and EnvBuild (cold full environment — the headline build-side
-# wall time, also recorded in the CI bench artifact).
-MICRO_BENCH ?= ATDAccess|StackDistances|MLPAnalysis|LeadingMissSurface|SimulatePhase|CurveReduction|TreeReduction16Core|SimDBLookup|SimDBReferenceEval|RMASimRun|RMASimStep|ClusterRun|RMAOverhead|RM3Overhead|EnvBuild|WireEncode|WireDecode|Equilibrium|ScorerCold|ClusterEquilibrium
+# kernel), SimPointAnalyze (suite-wide SimPoint on one goroutine),
+# SimDBBuild (cold one-benchmark database) and EnvBuild (cold full
+# environment — the headline build-side wall time, also recorded in the CI
+# bench artifact).
+MICRO_BENCH ?= ATDAccess|StackDistances|MLPAnalysis|LeadingMissSurface|SimulatePhase|SimPointAnalyze|CurveReduction|TreeReduction16Core|SimDBLookup|SimDBBuild|SimDBReferenceEval|RMASimRun|RMASimStep|ClusterRun|RMAOverhead|RM3Overhead|EnvBuild|WireEncode|WireDecode|Equilibrium|ScorerCold|ClusterEquilibrium
 # benchbase and benchdiff must measure under identical flags, or the
 # benchstat comparison is noise.
 MICRO_FLAGS ?= -benchtime=0.2s -count=5
@@ -119,18 +121,19 @@ chaos:
 
 # The byte-determinism wall, promoted to the per-push CI lane: the cluster
 # engine's emitter output across worker counts {1,4,GOMAXPROCS} (scored
-# and equilibrium placement), database builds across worker counts,
-# concurrent service batches vs sequential library calls, the binary
-# decide path vs the JSON one on the same seeded trace, the binary
-# response stream hash across shard/cache layouts, the Nash solver's
+# and equilibrium placement), database builds across worker counts (cold
+# caches, SimPoint included), bounds-accelerated k-means against the plain
+# Lloyd reference, concurrent service batches vs sequential library calls,
+# the binary decide path vs the JSON one on the same seeded trace, the
+# binary response stream hash across shard/cache layouts, the Nash solver's
 # equilibrium across solver worker counts and repeated runs and against the
 # unmemoized reference solver, and the scorer's payoff memo against fresh
 # scorers (serial and concurrent).
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic' \
-		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/service
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic' \
+		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service
 
 # Golden-table regression: regenerate the committed paper tables (via
 # System.Sweep) and the small-fleet placement comparison, and fail on any

@@ -747,6 +747,21 @@ func BenchmarkSimDBBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSimPointAnalyze measures the SimPoint stage of a cold build on
+// one goroutine: simpoint.Analyze over the whole suite. Analyze itself
+// keeps no cache (simdb's analysis memo sits above it), so every
+// iteration clusters from scratch.
+func BenchmarkSimPointAnalyze(b *testing.B) {
+	suite := trace.Suite()
+	opt := simpoint.DefaultOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bench := range suite {
+			simpoint.Analyze(bench, opt)
+		}
+	}
+}
+
 // BenchmarkEnvBuild measures the full offline environment construction —
 // both databases, characterizations and mixes — cold (profile cache reset
 // each iteration). This is the build-side headline number recorded in the

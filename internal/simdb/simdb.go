@@ -172,12 +172,13 @@ func Build(sys arch.SystemConfig, benches []*trace.Benchmark, opt BuildOptions) 
 
 // BuildAll builds one database per system configuration on a single shared
 // worker pool, interleaving the per-phase jobs of all systems. SimPoint
-// analyses are computed once per benchmark (they are system-independent),
-// and phases are profiled once at the deepest LLC associativity among the
-// systems, so configurations that share profile-relevant parameters — such
-// as the default 4- and 8-core machines — share one detailed-simulation
-// pass per phase through the process-wide profile cache. The result is
-// deterministic and independent of the worker count and of cache state.
+// analyses run first on the same pool, once per benchmark (they are
+// system-independent), and phases are profiled once at the deepest LLC
+// associativity among the systems, so configurations that share
+// profile-relevant parameters — such as the default 4- and 8-core
+// machines — share one detailed-simulation pass per phase through the
+// process-wide profile cache. The result is deterministic and independent
+// of the worker count and of cache state.
 func BuildAll(systems []arch.SystemConfig, benches []*trace.Benchmark, opt BuildOptions) ([]*DB, error) {
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("simdb: no system configurations")
@@ -195,13 +196,32 @@ func BuildAll(systems []arch.SystemConfig, benches []*trace.Benchmark, opt Build
 		opt.Workers = 1
 	}
 
+	// One pool of opt.Workers goroutines runs both stages. Every task
+	// writes a distinct slot, so the pool needs no locking; the semaphore
+	// only bounds parallelism.
+	var (
+		wg  sync.WaitGroup
+		sem = make(chan struct{}, opt.Workers)
+	)
+	run := func(task func()) {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			task()
+		}()
+	}
+
 	// SimPoint analysis is independent of the system configuration:
 	// analyze each benchmark once, shared by every database built here
-	// (and by later builds, through the memo).
+	// (and by later builds, through the memo). The phase jobs need every
+	// benchmark's phase count, so the stage ends at a barrier.
 	analyses := make([]*simpoint.Analysis, len(benches))
 	for i, b := range benches {
-		analyses[i] = analyzeCached(b, opt.SimPoint)
+		run(func() { analyses[i] = analyzeCached(b, opt.SimPoint) })
 	}
+	wg.Wait()
 
 	type job struct {
 		db    *DB
@@ -235,24 +255,15 @@ func BuildAll(systems []arch.SystemConfig, benches []*trace.Benchmark, opt Build
 		dbs[si] = db
 	}
 
-	// Every job writes a distinct (system, bench, phase) slot, so the pool
-	// needs no locking; the semaphore only bounds parallelism. Jobs from
+	// Every job writes a distinct (system, bench, phase) slot. Jobs from
 	// different systems that share a phase profile rendezvous in the
 	// profile cache's single-flight entries.
-	var (
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, opt.Workers)
-	)
 	for _, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
+		run(func() {
 			rec := simulatePhase(j.db.Sys, j.bench, j.data.Analysis, j.phase, opt.Sample, profileAssoc)
 			j.data.Phases[j.phase] = rec
 			j.data.PerfTables[j.phase] = compileTable(&j.db.Sys, j.db.Power, j.db.Lattice, rec)
-		}(j)
+		})
 	}
 	wg.Wait()
 	return dbs, nil

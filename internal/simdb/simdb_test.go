@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,18 +355,42 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 
 func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	sys := arch.DefaultSystemConfig(4)
-	benches := []*trace.Benchmark{trace.ByName("bzip2")}
+	var benches []*trace.Benchmark
+	for _, name := range []string{"bzip2", "gcc", "mcf", "lbm", "perlbench"} {
+		benches = append(benches, trace.ByName(name))
+	}
 	opt := DefaultBuildOptions()
 	opt.Sample = trace.SampleParams{Accesses: 5000, WarmupAccesses: 1000}
-	opt.Workers = 1
-	db1, err := Build(sys, benches, opt)
-	if err != nil {
-		t.Fatal(err)
+	build := func(workers int) *DB {
+		// Cold caches: the second build must redo SimPoint and profiling
+		// on its own pool, not replay the first build's memo.
+		ResetProfileCache()
+		opt.Workers = workers
+		db, err := Build(sys, benches, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	opt.Workers = 8
-	db8, err := Build(sys, benches, opt)
-	if err != nil {
-		t.Fatal(err)
+	db1, db8 := build(1), build(8)
+	if f1, f8 := db1.Fingerprint(), db8.Fingerprint(); f1 != f8 {
+		t.Fatalf("fingerprint %s with 1 worker, %s with 8", f1, f8)
+	}
+	for i, bd := range db1.Benches {
+		a1, a8 := bd.Analysis, db8.Benches[i].Analysis
+		if a1 == a8 {
+			t.Fatalf("%s: both builds share one analysis", bd.Name)
+		}
+		if a1.Bench != a8.Bench || a1.NumPhases != a8.NumPhases ||
+			!slices.Equal(a1.PhaseTrace, a8.PhaseTrace) ||
+			!slices.Equal(a1.Representative, a8.Representative) {
+			t.Fatalf("%s: SimPoint analysis differs between 1 and 8 workers", bd.Name)
+		}
+		for p := range a1.Weight {
+			if math.Float64bits(a1.Weight[p]) != math.Float64bits(a8.Weight[p]) {
+				t.Fatalf("%s: phase %d weight %v with 1 worker, %v with 8", bd.Name, p, a1.Weight[p], a8.Weight[p])
+			}
+		}
 	}
 	forEachRecord(db1, func(key PhaseKey, r1 *PhaseRecord) {
 		r8, err := db8.Record(key.Bench, key.Phase)

@@ -45,6 +45,12 @@ func DefaultOptions() Options {
 
 // Analyze clusters the benchmark's slices into phases.
 func Analyze(b *trace.Benchmark, opt Options) *Analysis {
+	return analyze(b, opt, hamerly)
+}
+
+// analyze is Analyze with the k-means refinement step as a parameter, so
+// tests can run the plain Lloyd reference through the same pipeline.
+func analyze(b *trace.Benchmark, opt Options, refine func(points, cents [][]float64, iters int) []int) *Analysis {
 	n := b.NumSlices()
 	if n == 0 {
 		panic("simpoint: benchmark has no slices")
@@ -83,7 +89,8 @@ func Analyze(b *trace.Benchmark, opt Options) *Analysis {
 	best := math.Inf(-1)
 	for k := 1; k <= opt.MaxPhases; k++ {
 		seed := stats.SeedFrom(opt.Seed, fmt.Sprintf("%s/k=%d", b.Name, k))
-		assign, cents := kmeans(points, k, opt.Iterations, seed)
+		cents := seedCentroids(points, k, seed)
+		assign := refine(points, cents, opt.Iterations)
 		bic := bicScore(points, assign, cents)
 		results = append(results, kResult{assign, cents, bic})
 		if bic > best {
@@ -132,18 +139,22 @@ func Analyze(b *trace.Benchmark, opt Options) *Analysis {
 	return an
 }
 
-// kmeans runs k-means++ initialization followed by Lloyd iterations.
-func kmeans(points [][]float64, k, iters int, seed uint64) (assign []int, cents [][]float64) {
-	n := len(points)
-	dim := len(points[0])
-	rng := stats.NewRNG(seed)
+// boundSlack is the relative safety margin of hamerly's distance bounds.
+// Rounding in a squared distance over a few dozen terms is below 1e-14
+// relative, so a bound that proves a strict win by this margin proves it
+// for the computed distances too; a tie or near-tie never passes and gets
+// the exact scan.
+const boundSlack = 1e-9
 
-	// k-means++ seeding. d2[i] is maintained incrementally as the minimum
-	// squared distance to the centroids chosen so far: folding in each new
-	// centroid with the same left-to-right min as a full rescan keeps the
-	// values (and therefore the seeded centroids) bit-identical to the
-	// original O(k²n) recomputation.
-	cents = make([][]float64, 0, k)
+// seedCentroids picks k initial centroids by k-means++ seeding. d2[i] is
+// maintained incrementally as the minimum squared distance to the
+// centroids chosen so far: folding in each new centroid with the same
+// left-to-right min as a full rescan keeps the values (and therefore the
+// seeded centroids) bit-identical to the original O(k²n) recomputation.
+func seedCentroids(points [][]float64, k int, seed uint64) [][]float64 {
+	n := len(points)
+	rng := stats.NewRNG(seed)
+	cents := make([][]float64, 0, k)
 	first := rng.Intn(n)
 	cents = append(cents, append([]float64(nil), points[first]...))
 	d2 := make([]float64, n)
@@ -177,49 +188,149 @@ func kmeans(points [][]float64, k, iters int, seed uint64) (assign []int, cents 
 			}
 		}
 	}
+	return cents
+}
 
-	assign = make([]int, n)
+// hamerly runs up to iters Lloyd iterations from cents (updated in place)
+// and returns the final assignment, skipping distance evaluations with
+// Hamerly's triangle-inequality bounds. It is exact: every assignment,
+// every centroid bit and the iteration count equal those of a plain Lloyd
+// loop that scans every centroid for every point (lowest index wins a
+// tie), recomputes every centroid from its members in point order, zeroes
+// the centroid of an empty cluster, and stops after the first iteration
+// that moves no point.
+func hamerly(points, cents [][]float64, iters int) []int {
+	n, k, dim := len(points), len(cents), len(points[0])
+	assign := make([]int, n)
+	// upper[i] bounds from above the distance from point i to its own
+	// centroid, lower[i] from below its distance to every other centroid.
+	// Both are Euclidean (not squared) and loosened by boundSlack.
+	upper := make([]float64, n)
+	lower := make([]float64, n)
+	counts := make([]int, k)
+	counts[0] = n
+	moved := make([]bool, k) // membership changed this iteration
+	shift := make([]float64, k)
+	prev := make([][]float64, k) // centroids before the recompute
+	for c := range prev {
+		prev[c] = make([]float64, dim)
+	}
 	for it := 0; it < iters; it++ {
 		changed := false
+		for c := range moved {
+			moved[c] = it == 0 // the seeds are no cluster's mean yet
+		}
 		for i, p := range points {
-			best, bd := 0, math.Inf(1)
-			for c := range cents {
-				if d, below := sqDistBelow(p, cents[c], bd); below {
-					best, bd = c, d
+			a := assign[i]
+			if it > 0 && upper[i] < lower[i] {
+				continue
+			}
+			// Tighten the upper bound to the exact distance, and test
+			// again before scanning the other centroids.
+			da, _ := sqDistBelow(p, cents[a], math.Inf(1))
+			if it > 0 {
+				upper[i] = math.Sqrt(da) * (1 + boundSlack)
+				if upper[i] < lower[i] {
+					continue
 				}
 			}
-			if assign[i] != best {
+			best, bd, bd2 := nearest(p, cents, a, da)
+			upper[i] = math.Sqrt(bd) * (1 + boundSlack)
+			lower[i] = math.Sqrt(bd2) * (1 - boundSlack)
+			if best != a {
 				assign[i] = best
+				counts[a]--
+				counts[best]++
+				moved[a], moved[best] = true, true
 				changed = true
 			}
 		}
-		// Recompute centroids.
-		for c := range cents {
-			for j := range cents[c] {
-				cents[c][j] = 0
+		// Recompute only the centroids whose membership changed: with the
+		// same members summed in the same order, a full recompute would
+		// reproduce an unchanged centroid's bits, so it keeps them and
+		// moves by 0, which leaves the bounds on it tight.
+		for c, cent := range cents {
+			if moved[c] {
+				copy(prev[c], cent)
+				clear(cent)
 			}
 		}
-		counts := make([]int, k)
 		for i, p := range points {
-			c := assign[i]
-			counts[c]++
-			for j := 0; j < dim; j++ {
-				cents[c][j] += p[j]
+			if c := assign[i]; moved[c] {
+				cent := cents[c]
+				p = p[:len(cent)] // lets the compiler drop the bounds check
+				for j := range cent {
+					cent[j] += p[j]
+				}
 			}
 		}
-		for c := range cents {
-			if counts[c] == 0 {
-				continue // leave empty centroid in place
+		var top, second float64 // the two largest shifts
+		topC := -1
+		for c, cent := range cents {
+			shift[c] = 0
+			if !moved[c] {
+				continue
 			}
-			for j := range cents[c] {
-				cents[c][j] /= float64(counts[c])
+			// An emptied cluster's centroid stays at the zero vector.
+			if counts[c] > 0 {
+				for j := range cent {
+					cent[j] /= float64(counts[c])
+				}
+			}
+			s := math.Sqrt(sqDist(prev[c], cent))
+			shift[c] = s
+			if s > top {
+				top, second, topC = s, top, c
+			} else if s > second {
+				second = s
 			}
 		}
 		if !changed {
 			break
 		}
+		// Triangle inequality: a point's own centroid moved at most its
+		// shift away, every other centroid at most the largest other
+		// shift closer. The slack term absorbs the rounding of the update.
+		for i := range points {
+			a := assign[i]
+			if s := shift[a]; s > 0 {
+				upper[i] += s + boundSlack*(upper[i]+s)
+			}
+			s := top
+			if a == topC {
+				s = second
+			}
+			if s > 0 {
+				lower[i] -= s + boundSlack*(lower[i]+s)
+			}
+		}
 	}
-	return assign, cents
+	return assign
+}
+
+// nearest returns the centroid nearest p, the lowest index among equals as
+// a full Lloyd scan picks it, with its squared distance bd and the squared
+// distance bd2 to the nearest other centroid (+Inf when there is none).
+// da is p's squared distance to centroid a, already computed.
+func nearest(p []float64, cents [][]float64, a int, da float64) (best int, bd, bd2 float64) {
+	bd, bd2 = math.Inf(1), math.Inf(1)
+	for c, cent := range cents {
+		// A partial sum reaching bd2 proves c neither nearest (bd <= bd2;
+		// on a tie the earlier index keeps the win) nor runner-up.
+		d, below := da, da < bd2
+		if c != a {
+			d, below = sqDistBelow(p, cent, bd2)
+		}
+		if !below {
+			continue
+		}
+		if d < bd {
+			best, bd, bd2 = c, d, bd
+		} else {
+			bd2 = d
+		}
+	}
+	return best, bd, bd2
 }
 
 // bicScore computes a Bayesian-information-criterion-style score for a

@@ -38,11 +38,12 @@ TIER=127.0.0.1:7800
 TIER_WIRE=127.0.0.1:7810
 HTTP=(127.0.0.1:7801 127.0.0.1:7802 127.0.0.1:7803 127.0.0.1:7804)
 WIRE=(127.0.0.1:7811 127.0.0.1:7812 127.0.0.1:7813 127.0.0.1:7814)
-PIDS=()
-cleanup() {
-	for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
-}
-trap cleanup EXIT
+PIDS=() # the backends by index, then the tier
+LG=     # the loadgen while one runs
+# On any exit, stop every process started here and wait for it.
+source scripts/stop.sh
+trap 'stop_pids "${PIDS[@]}" "$LG"' EXIT
+trap 'exit 1' INT TERM HUP
 
 start_backend() { # index
 	# Daemon output goes to a log file, not our stdout: a replica restarted
@@ -118,6 +119,7 @@ bin/loadgen -addr "$TIER" -duration "$DURATION" -conns 4 -batch 64 \
 LG=$!
 kill_restart 3 1.5
 wait "$LG" || true
+LG=
 check_report chaos.json.txt "json run"
 
 # Readmission: every replica (including the restarted one, which rebuilds
@@ -143,6 +145,7 @@ bin/loadgen -wire -addr "$TIER_WIRE" -duration "$DURATION" -conns 4 -batch 64 \
 LG=$!
 kill_restart 1 1.5
 wait "$LG" || true
+LG=
 check_report chaos.wire.txt "wire run"
 
 {

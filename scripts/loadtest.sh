@@ -35,9 +35,13 @@ if [ "$WIRE" = "1" ]; then
 	GEN_FLAGS=(-addr "$WIRE_ADDR" -wire)
 fi
 
+# On any exit, stop the server and wait for it.
+source scripts/stop.sh
+SRV=
+trap 'stop_pids "$SRV"' EXIT
+trap 'exit 1' INT TERM HUP
 bin/qosrmad "${SRV_FLAGS[@]}" &
 SRV=$!
-trap 'kill "$SRV" 2>/dev/null || true' EXIT
 
 # loadgen itself waits for the server's meta (retrying for ~5s on either
 # protocol), so no sleep here.
