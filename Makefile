@@ -83,13 +83,16 @@ benchbase:
 	$(GO) test -bench='$(MICRO_BENCH)' $(MICRO_FLAGS) -run '^$$' . | tee $(BENCH_BASE)
 
 # Run the micro-benchmarks and compare against the committed baseline with
-# benchstat; the diff lands in $(BENCH_DIFF) (uploaded as a CI artifact).
+# benchstat, or, where benchstat is not installed, with the stdlib-only
+# cmd/benchcmp (median ns/op ratio per benchmark, flagged only outside the
+# baseline's quartile spread; needs no network). The diff lands in
+# $(BENCH_DIFF) (uploaded as a CI artifact).
 benchdiff:
 	$(GO) test -bench='$(MICRO_BENCH)' $(MICRO_FLAGS) -run '^$$' . | tee $(BENCH_NEW)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCH_BASE) $(BENCH_NEW) | tee $(BENCH_DIFF); \
 	else \
-		$(GO) run golang.org/x/perf/cmd/benchstat@latest $(BENCH_BASE) $(BENCH_NEW) | tee $(BENCH_DIFF); \
+		$(GO) run ./cmd/benchcmp $(BENCH_BASE) $(BENCH_NEW) | tee $(BENCH_DIFF); \
 	fi
 
 # Smoke-run the open-system cluster walkthrough in its short shape (the
@@ -127,13 +130,15 @@ chaos:
 # the binary decide path vs the JSON one on the same seeded trace, the
 # binary response stream hash across shard/cache layouts, the Nash solver's
 # equilibrium across solver worker counts and repeated runs and against the
-# unmemoized reference solver, and the scorer's payoff memo against fresh
-# scorers (serial and concurrent).
+# unmemoized reference solver, the scorer's payoff memo against fresh
+# scorers (serial and concurrent), and the resource manager's curve table
+# and allocation memo against unkeyed twins (every scheme, both models,
+# oracle and realistic statistics, through vacancies and table resets).
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic' \
-		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey' \
+		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim
 
 # Golden-table regression: regenerate the committed paper tables (via
 # System.Sweep) and the small-fleet placement comparison, and fail on any

@@ -106,3 +106,48 @@ func TestSettingsFromCurvesIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SettingsFromCurvesInto allocated %.0f times per call with a reused slice, want 0", got)
 	}
 }
+
+// keyedStats returns the warm manager's statistics with synthetic keys,
+// so its decisions go through the curve table and the allocation memo.
+func keyedStats(st []*IntervalStats) []*IntervalStats {
+	out := make([]*IntervalStats, len(st))
+	for i, s := range st {
+		c := *s
+		c.Key = uint64(i + 1)
+		out[i] = &c
+	}
+	return out
+}
+
+// TestMemoHitSteadyStateAllocs pins the memoized paths (curve table hit,
+// allocation memo hit in allocate, settings in apply) at the same single
+// allocation as the uncached ones: the returned settings copy.
+func TestMemoHitSteadyStateAllocs(t *testing.T) {
+	m, _, plain := warmManager(t, SchemeCoordDVFSCache, Model2)
+	st := keyedStats(plain)
+	if _, ok := m.DecideAll(st); !ok {
+		t.Fatal("keyed warm-up DecideAll made no decision")
+	}
+	if len(m.memo.allocs) != 1 {
+		t.Fatalf("memo holds %d allocations after one keyed decision, want 1", len(m.memo.allocs))
+	}
+	for name, fn := range map[string]func(){
+		"DecideAll": func() { m.DecideAll(st) },
+		"Decide":    func() { m.Decide(0, st[0]) },
+		"allocate":  func() { m.allocate(m.decisionCurves()) },
+	} {
+		if got := testing.AllocsPerRun(100, fn); got != 1 {
+			t.Fatalf("%s allocated %.0f times per memo hit, want exactly 1 (the returned settings copy)", name, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { m.curve(0, st[0]) }); got != 0 {
+		t.Fatalf("curve allocated %.0f times per table hit, want 0", got)
+	}
+	alloc := []int{1, 2, 3, 4}
+	if got := testing.AllocsPerRun(100, func() { m.apply(m.decisionCurves(), alloc) }); got != 1 {
+		t.Fatalf("apply allocated %.0f times per call, want exactly 1 (the returned settings copy)", got)
+	}
+	if len(m.memo.curves) != len(st) || len(m.memo.allocs) != 1 {
+		t.Fatalf("hits grew the table to %d curves and the memo to %d allocations", len(m.memo.curves), len(m.memo.allocs))
+	}
+}

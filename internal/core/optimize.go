@@ -20,7 +20,6 @@ type Option struct {
 // the cheapest setting that meets the core's QoS target (Figure 3 of
 // Paper I / Figure 3 of Paper II).
 type Curve struct {
-	Core    int
 	Options []Option // indexed by ways, 0..assoc
 }
 
@@ -96,7 +95,6 @@ func (p *Predictor) BuildCurveInto(st *IntervalStats, opt LocalOptions, buf *Cur
 	if curve == nil {
 		curve = &Curve{}
 	}
-	curve.Core = st.Core
 	if cap(curve.Options) >= assoc+1 {
 		curve.Options = curve.Options[:assoc+1]
 	} else {
@@ -250,7 +248,7 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 // cores do not want. Size and frequency of every option are the parking
 // setting's (nothing executes there, they are cosmetic).
 func IdleCurve(assoc int, parked arch.Setting) *Curve {
-	c := &Curve{Core: -1, Options: make([]Option, assoc+1)}
+	c := &Curve{Options: make([]Option, assoc+1)}
 	for w := range c.Options {
 		c.Options[w] = Option{Size: parked.Size, FreqIdx: parked.FreqIdx, Feasible: true}
 	}

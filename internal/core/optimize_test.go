@@ -233,7 +233,7 @@ func naiveCurve(p *Predictor, st *IntervalStats, opt LocalOptions) *Curve {
 		sizes = []arch.CoreSize{p.Sys.BaselineSize}
 	}
 	target := p.QoSTargetIPS(st, opt.Slack)
-	curve := &Curve{Core: st.Core, Options: make([]Option, assoc+1)}
+	curve := &Curve{Options: make([]Option, assoc+1)}
 	for w := 0; w <= assoc; w++ {
 		curve.Options[w] = Option{EPI: math.Inf(1)}
 		if w < 1 || w > opt.MaxWays {

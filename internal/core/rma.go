@@ -73,18 +73,20 @@ type Config struct {
 // Manager is the online resource manager. It retains the most recent energy
 // curve per core (the paper's "other cores already available" state) and,
 // on each invocation, rebuilds the invoking core's curve and re-runs the
-// global optimization.
+// global optimization — once per distinct input: curves and allocations
+// derived from keyed statistics are memoized (memo.go).
 type Manager struct {
 	cfg       Config
 	pred      Predictor
-	curves    []*Curve
+	curves    []*Curve // per core: the curve the reduction reads (table-owned or own)
+	ids       []uint16 // per core: table ID of curves[i]; 0 when not from the table
+	own       []*Curve // per core: reusable buffer for curves of unkeyed statistics
+	memo      decisionMemo
 	settings  []arch.Setting
 	feedback  []*FeedbackTable // per core; nil when disabled
 	lastStats []*IntervalStats // per core; kept for the uncoordinated scheme
 
 	localOpts []LocalOptions // per-core search space, precomputed
-	scratch   *Curve         // reusable curve for the single-core schemes
-	uncoord   []*Curve       // reusable curves for the uncoordinated scheme
 	ways      WaysScratch    // reusable global-reduction state
 	profiles  [][]float64    // reusable miss-profile vector (UCP scheme)
 
@@ -113,9 +115,15 @@ func NewManager(cfg Config) *Manager {
 		panic("core: slack vector length mismatch")
 	}
 	m := &Manager{
-		cfg:       cfg,
-		pred:      Predictor{Sys: &cfg.Sys, Power: cfg.Power, Kind: cfg.Model},
-		curves:    make([]*Curve, n),
+		cfg:    cfg,
+		pred:   Predictor{Sys: &cfg.Sys, Power: cfg.Power, Kind: cfg.Model},
+		curves: make([]*Curve, n),
+		ids:    make([]uint16, n),
+		own:    make([]*Curve, n),
+		memo: decisionMemo{
+			ids:    make(map[curveKey]uint16),
+			allocs: make(map[allocKey]allocEntry),
+		},
 		settings:  make([]arch.Setting, n),
 		lastStats: make([]*IntervalStats, n),
 		occupied:  make([]bool, n),
@@ -161,6 +169,7 @@ func (m *Manager) Vacate(core int) {
 	m.occupied[core] = false
 	m.vacant++
 	m.curves[core] = nil
+	m.ids[core] = 0
 	m.lastStats[core] = nil
 	if m.feedback != nil {
 		m.feedback[core] = NewFeedbackTable(m.cfg.Sys.LLC.Assoc)
@@ -310,8 +319,8 @@ func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) 
 	case SchemeDVFSOnly:
 		// Frequency-only control at the fixed equal partition: pick the
 		// cheapest feasible frequency for the invoker alone.
-		m.scratch = m.pred.BuildCurveInto(st, m.localOptions(invoker), m.scratch)
-		o := m.scratch.Options[sys.BaselineWays()]
+		c, _ := m.curve(invoker, st)
+		o := c.Options[sys.BaselineWays()]
 		if !o.Feasible {
 			return nil, false
 		}
@@ -324,10 +333,10 @@ func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) 
 		// Handled by the coordinated reduction below.
 	}
 
-	// Coordinated schemes: rebuild the invoker's curve (reusing its buffer
-	// across intervals), reuse the last curves of the other cores (thesis
-	// Fig. 3.1/3.2). Vacant cores stand in with the shared idle curve.
-	m.curves[invoker] = m.pred.BuildCurveInto(st, m.localOptions(invoker), m.curves[invoker])
+	// Coordinated schemes: rebuild the invoker's curve, reuse the last
+	// curves of the other cores (thesis Fig. 3.1/3.2). Vacant cores stand
+	// in with the shared idle curve.
+	m.curves[invoker], m.ids[invoker] = m.curve(invoker, st)
 	curves := m.decisionCurves()
 	for i, c := range curves {
 		if c == nil && m.occupied[i] {
@@ -336,30 +345,18 @@ func (m *Manager) Decide(invoker int, st *IntervalStats) ([]arch.Setting, bool) 
 			return nil, false
 		}
 	}
-	alloc, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &m.ways)
-	if !ok {
-		return nil, false
-	}
-	m.settings = SettingsFromCurvesInto(m.settings, curves, alloc)
-	for i := range m.settings {
-		if !m.occupied[i] {
-			// Nothing executes on a vacant core; park it at the baseline
-			// (the ways the idle curve absorbed are simply unclaimed).
-			m.settings[i] = sys.BaselineSetting()
-		}
-	}
-	return m.Settings(), true
+	return m.allocate(curves)
 }
 
 // DecideAll is the one-shot batch form of Decide: statistics for every
 // occupied core arrive together and the manager answers with the settings
 // the sequential invocation order (Decide(0, st[0]) … Decide(n-1, st[n-1]))
 // would have produced — bit-identically, a property the decision service's
-// tests pin. Every occupied core's curve is rebuilt into its reusable
-// buffer, so a manager kept per serving shard answers repeated queries
-// without allocating and without leaking curve state between queries
-// (stale curves from a previous query are always overwritten before the
-// global reduction runs). Entries of st may be nil for vacant cores.
+// tests pin. Every occupied core's curve is looked up or rebuilt, so a
+// manager kept per serving shard answers repeated queries without
+// allocating and without leaking curve state between queries (stale
+// curves from a previous query are always replaced before the global
+// reduction runs). Entries of st may be nil for vacant cores.
 //
 //qosrma:noalloc
 func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
@@ -415,8 +412,8 @@ func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
 			if m.feedback != nil {
 				m.pred.Feedback = m.feedback[i]
 			}
-			m.scratch = m.pred.BuildCurveInto(s, m.localOptions(i), m.scratch)
-			o := m.scratch.Options[sys.BaselineWays()]
+			c, _ := m.curve(i, s)
+			o := c.Options[sys.BaselineWays()]
 			changed = o.Feasible
 			if !o.Feasible {
 				continue
@@ -452,21 +449,10 @@ func (m *Manager) DecideAll(st []*IntervalStats) ([]arch.Setting, bool) {
 		if m.feedback != nil {
 			m.pred.Feedback = m.feedback[i]
 		}
-		m.curves[i] = m.pred.BuildCurveInto(s, m.localOptions(i), m.curves[i])
+		m.curves[i], m.ids[i] = m.curve(i, s)
 	}
 	m.pred.Feedback = nil
-	curves := m.decisionCurves()
-	alloc, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &m.ways)
-	if !ok {
-		return nil, false
-	}
-	m.settings = SettingsFromCurvesInto(m.settings, curves, alloc)
-	for i := range m.settings {
-		if !m.occupied[i] {
-			m.settings[i] = sys.BaselineSetting()
-		}
-	}
-	return m.Settings(), true
+	return m.allocate(m.decisionCurves())
 }
 
 // decideUncoordinated implements the independent-controller design: UCP
@@ -496,16 +482,13 @@ func (m *Manager) decideUncoordinated() ([]arch.Setting, bool) {
 		profiles[i] = st.ATDMisses
 	}
 	alloc := cache.UCPLookahead(profiles, sys.LLC.Assoc, 1)
-	if m.uncoord == nil {
-		m.uncoord = make([]*Curve, len(m.lastStats))
-	}
 	for i, st := range m.lastStats {
 		if !m.occupied[i] {
 			m.settings[i] = sys.BaselineSetting()
 			continue
 		}
-		m.uncoord[i] = m.pred.BuildCurveInto(st, m.localOptions(i), m.uncoord[i])
-		if o := m.uncoord[i].Options[alloc[i]]; o.Feasible {
+		c, _ := m.curve(i, st)
+		if o := c.Options[alloc[i]]; o.Feasible {
 			m.settings[i] = arch.Setting{Size: o.Size, FreqIdx: o.FreqIdx, Ways: alloc[i]}
 		} else {
 			m.settings[i] = arch.Setting{

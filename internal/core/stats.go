@@ -25,6 +25,14 @@ import "qosrma/internal/arch"
 type IntervalStats struct {
 	Core int // core index
 
+	// Key, when nonzero, names the database records the statistics were
+	// derived from: two statistics with the same nonzero key are equal in
+	// every field except Core. The manager memoizes energy curves and
+	// allocations by it. Zero means unkeyed, and unkeyed statistics always
+	// take the uncached path. rmasim.FillStats is the only producer of
+	// keys; statistics assembled any other way must leave it zero.
+	Key uint64
+
 	// Setting is the resource allocation the interval executed under.
 	Setting arch.Setting
 

@@ -5,8 +5,8 @@ import (
 
 	"qosrma/internal/core"
 	"qosrma/internal/power"
+	"qosrma/internal/rmasim"
 	"qosrma/internal/simdb"
-	"qosrma/internal/trace"
 )
 
 // OverheadProbe is a ready-to-invoke resource manager plus per-core
@@ -53,27 +53,18 @@ func (p *OverheadProbe) Invoke() {
 // StatsFor assembles realistic interval statistics for one benchmark phase
 // at the baseline setting, as the RMA would observe them.
 func StatsFor(db *simdb.DB, bench string, phase, coreID int) (*core.IntervalStats, error) {
-	rec, err := db.Record(bench, phase)
-	if err != nil {
+	if _, err := db.Record(bench, phase); err != nil {
 		return nil, err
 	}
-	setting := db.Sys.BaselineSetting()
-	pt, err := db.Perf(bench, phase, setting)
-	if err != nil {
-		return nil, err
-	}
-	return &core.IntervalStats{
-		Core:          coreID,
-		Setting:       setting,
-		Instr:         trace.SliceInstructions,
-		Cycles:        pt.Cycles,
-		LLCAccesses:   pt.LLCAccesses,
-		BranchMisses:  rec.BranchMPKI * trace.SliceInstructions / 1000,
-		TotalMisses:   pt.Misses,
-		LeadingMisses: pt.Leading,
-		ATDMisses:     rec.SampledMisses,
-		ATDLeading:    rec.SampledLeading,
-	}, nil
+	id, _ := db.BenchIDOf(bench) // known: Record found the benchmark
+	st := new(core.IntervalStats)
+	rmasim.FillStats(db, id, phase, db.BaselineIdx(), coreID, false, st)
+	// Unkeyed on purpose: the overhead probe must time the local
+	// optimization and the global reduction on every invocation, as the
+	// paper instruments them, and keyed statistics would make its Decide
+	// calls memo hits.
+	st.Key = 0
+	return st, nil
 }
 
 // IntervalWallTime returns the wall time of one 100M-instruction interval

@@ -40,4 +40,10 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("gatherStats allocated %.0f times per call, want 0 (it must fill the core's reusable buffer)", got)
 	}
+	got = testing.AllocsPerRun(200, func() {
+		FillStats(db, c.id, 0, db.BaselineIdx(), 0, true, &c.stats)
+	})
+	if got != 0 {
+		t.Fatalf("FillStats allocated %.0f times per call, want 0", got)
+	}
 }

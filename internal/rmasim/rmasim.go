@@ -742,13 +742,28 @@ func (c *coreState) gatherStats(db *simdb.DB, coreID, completed int, oracle bool
 	if oracle {
 		sliceIdx = c.slice
 	}
-	phase := c.phases[sliceIdx]
-	rec := db.RecordAt(c.id, phase)
-	pt := db.PerfAt(c.id, phase, c.setIdx)
-	st := &c.stats
+	FillStats(db, c.id, c.phases[sliceIdx], c.setIdx, coreID, oracle, &c.stats)
+	return &c.stats
+}
+
+// FillStats fills st with the interval statistics the RMA observes for
+// one interval of a benchmark phase executed on coreID at the setting
+// with lattice index setIdx: perfect statistics (exact profiles and the
+// true ILP) when oracle is set, the sampled-ATD profiles otherwise. The
+// profile slices alias the immutable database records.
+//
+// Every field is a function of (id, phase, setIdx, oracle) except Core, so
+// FillStats is the one place that sets IntervalStats.Key, the name the
+// manager memoizes curves and allocations by.
+//
+//qosrma:noalloc
+func FillStats(db *simdb.DB, id simdb.BenchID, phase, setIdx, coreID int, oracle bool, st *core.IntervalStats) {
+	rec := db.RecordAt(id, phase)
+	pt := db.PerfAt(id, phase, setIdx)
 	*st = core.IntervalStats{
 		Core:          coreID,
-		Setting:       c.setting,
+		Key:           statsKey(id, phase, setIdx, oracle),
+		Setting:       db.Lattice.Setting(setIdx),
 		Instr:         trace.SliceInstructions,
 		Cycles:        pt.Cycles,
 		LLCAccesses:   pt.LLCAccesses,
@@ -764,7 +779,21 @@ func (c *coreState) gatherStats(db *simdb.DB, coreID, completed int, oracle bool
 		st.ATDMisses = rec.SampledMisses
 		st.ATDLeading = rec.SampledLeading
 	}
-	return st
+}
+
+// statsKey packs FillStats' inputs into a nonzero IntervalStats.Key: the
+// top bit set, the benchmark in 22 bits, the phase in 16, the lattice
+// index in 24 and the oracle flag in the lowest bit. An input outside its
+// field leaves the statistics unkeyed rather than aliasing another key.
+func statsKey(id simdb.BenchID, phase, setIdx int, oracle bool) uint64 {
+	if uint64(id) >= 1<<22 || uint64(phase) >= 1<<16 || uint64(setIdx) >= 1<<24 {
+		return 0
+	}
+	k := 1<<63 | uint64(id)<<41 | uint64(phase)<<25 | uint64(setIdx)<<1
+	if oracle {
+		k |= 1
+	}
+	return k
 }
 
 // BaselineRound returns the time and energy of one full round of the

@@ -35,8 +35,8 @@ import (
 	"qosrma/internal/arch"
 	"qosrma/internal/core"
 	"qosrma/internal/power"
+	"qosrma/internal/rmasim"
 	"qosrma/internal/simdb"
-	"qosrma/internal/trace"
 )
 
 // AppQuery names one core's occupant in a decide query: a benchmark and a
@@ -338,25 +338,10 @@ func (s *Server) shardOf(key []byte) *shard {
 
 // FillOracleStats fills st with the perfect interval statistics of one
 // (benchmark, phase) pair executing on coreID at the baseline setting —
-// the co-phase decision point the RMA faces, built exactly as the
-// simulator's oracle gatherStats path builds it. The profile slices alias
-// the immutable database records.
+// the co-phase decision point the RMA faces, built by the simulator's own
+// filler (rmasim.FillStats), keyed like its statistics.
 func FillOracleStats(db *simdb.DB, id simdb.BenchID, phase, coreID int, st *core.IntervalStats) {
-	rec := db.RecordAt(id, phase)
-	pt := db.PerfAt(id, phase, db.BaselineIdx())
-	*st = core.IntervalStats{
-		Core:          coreID,
-		Setting:       db.Sys.BaselineSetting(),
-		Instr:         trace.SliceInstructions,
-		Cycles:        pt.Cycles,
-		LLCAccesses:   pt.LLCAccesses,
-		BranchMisses:  rec.BranchMPKI * trace.SliceInstructions / 1000,
-		TotalMisses:   pt.Misses,
-		LeadingMisses: pt.Leading,
-		ATDMisses:     rec.Misses,
-		ATDLeading:    rec.Leading,
-		IlpIPC:        rec.IlpIPC,
-	}
+	rmasim.FillStats(db, id, phase, db.BaselineIdx(), coreID, true, st)
 }
 
 // OracleStats is FillOracleStats returning a fresh struct (the reference
@@ -381,8 +366,9 @@ func newManager(sn *snapshot, q *decideQuery) *core.Manager {
 }
 
 // manager returns the shard's manager for the configuration, building it
-// on first use. Managers are retained: their per-core curve buffers are
-// the shard-local reuse that keeps repeated decisions allocation-free.
+// on first use. Managers are retained: their curve tables, allocation
+// memos and per-core buffers are the shard-local reuse that keeps
+// repeated decisions allocation-free.
 func (sh *shard) manager(q *decideQuery) *core.Manager {
 	m, ok := sh.mgrs[q.cfg]
 	if !ok {
