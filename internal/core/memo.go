@@ -21,7 +21,7 @@ const (
 	// curve IDs restart, so every memo key and every retained per-core ID
 	// is invalidated at the same moment.
 	curveLimit = 1024
-	allocLimit = 8192
+	allocLimit = 2048
 	// memoCores is the widest system whose allocations are memoized (the
 	// 8-core systems the repository builds); wider systems still use the
 	// curve table.

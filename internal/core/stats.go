@@ -30,7 +30,7 @@ type IntervalStats struct {
 	// every field except Core. The manager memoizes energy curves and
 	// allocations by it. Zero means unkeyed, and unkeyed statistics always
 	// take the uncached path. rmasim.FillStats is the only producer of
-	// keys; statistics assembled any other way must leave it zero.
+	// keys; statistics assembled any other way leave it zero.
 	Key uint64
 
 	// Setting is the resource allocation the interval executed under.
