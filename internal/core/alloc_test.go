@@ -82,6 +82,7 @@ func TestAllocateWaysIntoSteadyStateAllocs(t *testing.T) {
 		if _, ok := AllocateWaysInto(curves, sys.LLC.Assoc, &ws); !ok {
 			t.Fatal("AllocateWaysInto found no allocation")
 		}
+		finiteRange(ws.row, curves[0].Options) // the per-stage row copy
 	})
 	if got != 0 {
 		t.Fatalf("AllocateWaysInto allocated %.0f times per call with warm scratch, want 0", got)

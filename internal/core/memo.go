@@ -17,9 +17,10 @@ import (
 // the database its keys refer to.
 const (
 	// curveLimit bounds the curves in one manager's table and allocLimit
-	// the allocations in its memo. When either fills, both are emptied:
-	// curve IDs restart, so every memo key and every retained per-core ID
-	// is invalidated at the same moment.
+	// the allocations in its memo. A full table empties both: curve IDs
+	// restart, so every memo key and every retained per-core ID is
+	// invalidated at the same moment. A full memo empties only itself; the
+	// table's curves and IDs stay valid.
 	curveLimit = 1024
 	allocLimit = 2048
 	// memoCores is the widest system whose allocations are memoized (the
@@ -146,17 +147,14 @@ func (m *Manager) allocate(curves []*Curve) ([]arch.Setting, bool) {
 	alloc, ok := AllocateWaysInto(curves, m.cfg.Sys.LLC.Assoc, &m.ways)
 	if keyed {
 		if len(m.memo.allocs) == allocLimit {
-			// Emptying the memo empties the table too, which invalidates
-			// the IDs in key: the entry is dropped.
-			m.resetMemo()
-		} else {
-			e := allocEntry{ok: ok}
-			for i, w := range alloc { // nil when !ok
-				e.ways[i] = uint8(w)
-			}
-			//qosrma:allow(noalloc) memo miss: the map grows up to allocLimit entries
-			m.memo.allocs[key] = e
+			clear(m.memo.allocs)
 		}
+		e := allocEntry{ok: ok}
+		for i, w := range alloc { // nil when !ok
+			e.ways[i] = uint8(w)
+		}
+		//qosrma:allow(noalloc) memo miss: the map grows up to allocLimit entries
+		m.memo.allocs[key] = e
 	}
 	if !ok {
 		return nil, false

@@ -62,10 +62,12 @@ func sameDecision(t *testing.T, step int, keyed, plain *Manager, gotS, wantS []a
 }
 
 // TestTableBoundResets fills the curve table past curveLimit and the
-// allocation memo past allocLimit with synthetic keys. Each fill must
-// empty both structures and invalidate every retained per-core ID, and
-// every decision before and after must match an unkeyed twin: a stale ID
-// naming a reissued curve would hand a core another input's allocation.
+// allocation memo past allocLimit with synthetic keys. A table fill must
+// empty both structures and invalidate every retained per-core ID; a memo
+// fill must empty the memo alone, leaving the table's curves and every
+// retained ID intact. Every decision before and after must match an
+// unkeyed twin: a stale ID naming a reissued curve would hand a core
+// another input's allocation.
 func TestTableBoundResets(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -78,7 +80,7 @@ func TestTableBoundResets(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			keyed, plain, sys := newTwins(SchemeCoordDVFSCache, Model2, nil, false)
 			rng := rand.New(rand.NewSource(1))
-			resets := 0
+			tableResets, memoResets := 0, 0
 			for step := 0; step < tc.steps; step++ {
 				c := step % sys.NumCores
 				v := rng.Intn(tc.variants)
@@ -86,7 +88,8 @@ func TestTableBoundResets(t *testing.T) {
 					v = step // core 0 keeps drawing new keys; the others hold theirs
 				}
 				st := variantStats(sys, v, c, true)
-				before := len(keyed.memo.curves) + len(keyed.memo.allocs)
+				curvesBefore, allocsBefore := len(keyed.memo.curves), len(keyed.memo.allocs)
+				idsBefore := append([]uint16(nil), keyed.ids...)
 				gotS, gotOK := keyed.Decide(c, st)
 				wantS, wantOK := plain.Decide(c, unkeyed(st))
 				sameDecision(t, step, keyed, plain, gotS, wantS, gotOK, wantOK)
@@ -96,17 +99,35 @@ func TestTableBoundResets(t *testing.T) {
 				if n := len(keyed.memo.allocs); n > allocLimit {
 					t.Fatalf("step %d: memo holds %d allocations, bound %d", step, n, allocLimit)
 				}
-				if after := len(keyed.memo.curves) + len(keyed.memo.allocs); after < before {
-					resets++
+				switch {
+				case len(keyed.memo.curves) < curvesBefore:
+					tableResets++
 					for i, id := range keyed.ids {
 						if i != c && id != 0 {
-							t.Fatalf("step %d: core %d kept curve ID %d across a reset", step, i, id)
+							t.Fatalf("step %d: core %d kept curve ID %d across a table reset", step, i, id)
 						}
 					}
 					if len(keyed.memo.allocs) > 1 || len(keyed.memo.curves) > 1 {
-						t.Fatalf("step %d: reset left %d curves and %d allocations", step, len(keyed.memo.curves), len(keyed.memo.allocs))
+						t.Fatalf("step %d: table reset left %d curves and %d allocations", step, len(keyed.memo.curves), len(keyed.memo.allocs))
+					}
+				case len(keyed.memo.allocs) < allocsBefore:
+					memoResets++
+					for i, id := range keyed.ids {
+						if i != c && id != idsBefore[i] {
+							t.Fatalf("step %d: core %d curve ID %d became %d across a memo reset", step, i, idsBefore[i], id)
+						}
+					}
+					if len(keyed.memo.allocs) != 1 {
+						t.Fatalf("step %d: memo reset left %d allocations, want the new one", step, len(keyed.memo.allocs))
 					}
 				}
+			}
+			resets := tableResets
+			if tc.name == "allocs" {
+				if tableResets != 0 {
+					t.Fatalf("%d table resets while filling the memo", tableResets)
+				}
+				resets = memoResets
 			}
 			if resets < 2 {
 				t.Fatalf("%d resets in %d steps, want at least 2", resets, tc.steps)

@@ -151,14 +151,15 @@ func (p *Predictor) BuildCurveInto(st *IntervalStats, opt LocalOptions, buf *Cur
 }
 
 // WaysScratch holds AllocateWaysInto's reusable reduction state: the two
-// DP rows, the flattened per-core choice matrix, and the unwound
-// allocation. One instance per Manager keeps the global reduction
-// allocation-free after the first decision (the decision service pushes
-// millions of DecideAll calls through this path).
+// DP rows, the current curve's EPI row, the flattened per-core choice
+// matrix, and the unwound allocation. One instance per Manager keeps the
+// global reduction allocation-free after the first decision (the decision
+// service pushes millions of DecideAll calls through this path).
 type WaysScratch struct {
 	combined []float64
 	next     []float64
-	choices  []int // n rows of totalWays+1 entries, flattened
+	row      []float64 // curve i's EPIs over their non-+Inf range
+	choices  []int     // n rows of totalWays+1 entries, flattened
 	alloc    []int
 }
 
@@ -180,6 +181,15 @@ func AllocateWays(curves []*Curve, totalWays int) ([]int, bool) {
 // The returned allocation aliases ws and is valid until the next call
 // with the same scratch.
 //
+// Each stage copies curve i's EPIs into one row and pairs only the row's
+// non-+Inf range with the running row's: a total with a +Inf term never
+// wins (a stage's best starts at +Inf and only a strictly smaller total
+// replaces it, and +Inf plus anything is +Inf or NaN), so skipping those
+// pairs is bit-identical to the plain loop over every way count for every
+// float input, ties included (the lowest way count still wins). Only the
+// ranges are ever read, and the last stage computes only the full total,
+// the one entry the unwind reads.
+//
 //qosrma:noalloc
 func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, bool) {
 	n := len(curves)
@@ -190,6 +200,7 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	if cap(ws.combined) < rowLen {
 		ws.combined = make([]float64, rowLen)
 		ws.next = make([]float64, rowLen)
+		ws.row = make([]float64, rowLen)
 	}
 	if cap(ws.choices) < n*rowLen {
 		ws.choices = make([]int, n*rowLen)
@@ -197,39 +208,41 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	if cap(ws.alloc) < n {
 		ws.alloc = make([]int, n)
 	}
-	// combined[W]: minimum total EPI of cores 0..i using exactly W ways.
+	// combined[W]: minimum total EPI of cores 0..i using exactly W ways;
+	// it is +Inf outside [clo, chi], and only that range is stored.
 	// choice[W]: ways given to core i in that optimum.
 	combined := ws.combined[:rowLen]
 	next := ws.next[:rowLen]
+	row := ws.row[:rowLen]
 	choices := ws.choices[:n*rowLen]
 	alloc := ws.alloc[:n]
-	for W := range combined {
-		combined[W] = curves[0].EPI(W)
-	}
+	inf := math.Inf(1)
+	clo, chi := finiteRange(combined, curves[0].Options)
 	for i := 1; i < n; i++ {
 		choice := choices[i*rowLen : (i+1)*rowLen]
-		for W := 0; W <= totalWays; W++ {
-			next[W] = math.Inf(1)
-			choice[W] = -1
-			for wi := 0; wi <= W; wi++ {
-				e := curves[i].EPI(wi)
-				if math.IsInf(e, 1) {
-					continue
+		lo, hi := finiteRange(row, curves[i].Options)
+		first := 0
+		if i == n-1 {
+			first = totalWays
+		}
+		nlo, nhi := rowLen, -1
+		for W := first; W <= totalWays; W++ {
+			best, arg := inf, -1
+			for wi, top := max(lo, W-chi), min(hi, W-clo); wi <= top; wi++ {
+				if total := combined[W-wi] + row[wi]; total < best {
+					best, arg = total, wi
 				}
-				prev := combined[W-wi]
-				if math.IsInf(prev, 1) {
-					continue
-				}
-				if total := prev + e; total < next[W] {
-					next[W] = total
-					choice[W] = wi
-				}
+			}
+			next[W], choice[W] = best, arg
+			if best != inf {
+				nlo, nhi = min(nlo, W), W
 			}
 		}
 		combined, next = next, combined
+		clo, chi = nlo, nhi
 	}
-	if math.IsInf(combined[totalWays], 1) {
-		return nil, false
+	if chi != totalWays {
+		return nil, false // combined[totalWays] is +Inf
 	}
 	// Unwind.
 	W := totalWays
@@ -240,6 +253,28 @@ func AllocateWaysInto(curves []*Curve, totalWays int, ws *WaysScratch) ([]int, b
 	}
 	alloc[0] = W
 	return alloc, true
+}
+
+// finiteRange copies a curve's EPIs into row over their non-+Inf range
+// and returns that range [lo, hi]: the first and last way count below
+// len(row) whose EPI is not +Inf, with way counts past the curve's Options
+// counting as +Inf. Entries of row outside the range are left as they
+// were; lo > hi when every EPI is +Inf.
+//
+//qosrma:noalloc
+func finiteRange(row []float64, opts []Option) (lo, hi int) {
+	inf := math.Inf(1)
+	hi = min(len(row), len(opts)) - 1
+	for hi >= 0 && opts[hi].EPI == inf {
+		hi--
+	}
+	for lo <= hi && opts[lo].EPI == inf {
+		lo++
+	}
+	for w := lo; w <= hi; w++ {
+		row[w] = opts[w].EPI
+	}
+	return lo, hi
 }
 
 // IdleCurve returns a zero-cost energy curve standing in for an unoccupied

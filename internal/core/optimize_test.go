@@ -199,6 +199,121 @@ func TestAllocateWaysInfeasible(t *testing.T) {
 	}
 }
 
+// allocateWaysReference is the way-allocation DP as it stood before the
+// row kernel: every way count of every stage, +Inf terms skipped by test.
+// AllocateWaysInto must match it bit for bit.
+func allocateWaysReference(curves []*Curve, totalWays int) ([]int, bool) {
+	n := len(curves)
+	if n == 0 {
+		return nil, false
+	}
+	rowLen := totalWays + 1
+	combined := make([]float64, rowLen)
+	next := make([]float64, rowLen)
+	choices := make([]int, n*rowLen)
+	alloc := make([]int, n)
+	for W := range combined {
+		combined[W] = curves[0].EPI(W)
+	}
+	for i := 1; i < n; i++ {
+		choice := choices[i*rowLen : (i+1)*rowLen]
+		for W := 0; W <= totalWays; W++ {
+			next[W] = math.Inf(1)
+			choice[W] = -1
+			for wi := 0; wi <= W; wi++ {
+				e := curves[i].EPI(wi)
+				if math.IsInf(e, 1) {
+					continue
+				}
+				prev := combined[W-wi]
+				if math.IsInf(prev, 1) {
+					continue
+				}
+				if total := prev + e; total < next[W] {
+					next[W] = total
+					choice[W] = wi
+				}
+			}
+		}
+		combined, next = next, combined
+	}
+	if math.IsInf(combined[totalWays], 1) {
+		return nil, false
+	}
+	W := totalWays
+	for i := n - 1; i >= 1; i-- {
+		wi := choices[i*rowLen+W]
+		alloc[i] = wi
+		W -= wi
+	}
+	alloc[0] = W
+	return alloc, true
+}
+
+// holeyCurve builds a curve of up to assoc+1 options (short Options
+// included) whose EPIs mix finite values, ties, +Inf holes and, rarely,
+// -Inf and NaN; kind 0 makes the whole row infeasible.
+func holeyCurve(rng *stats.RNG, assoc int) *Curve {
+	c := &Curve{Options: make([]Option, 1+rng.Intn(assoc+1))}
+	kind := rng.Intn(8)
+	for w := range c.Options {
+		e := math.Inf(1)
+		switch r := rng.Intn(40); {
+		case kind == 0:
+		case r < 8: // +Inf hole
+		case r < 14:
+			e = float64(1 + rng.Intn(4)) // ties
+		case r == 14:
+			e = math.Inf(-1)
+		case r == 15:
+			e = math.NaN()
+		default:
+			e = rng.Float64()*10 + 0.1
+		}
+		c.Options[w] = Option{EPI: e, Feasible: !math.IsInf(e, 1)}
+	}
+	return c
+}
+
+// TestAllocateWaysIntoMatchesReference: the row kernel returns the
+// reference loop's (alloc, ok) on random curve sets of 1..8 cores at 16
+// and 32 ways, through +Inf holes, short Options, infeasible rows, -Inf
+// and NaN, with one scratch reused across widths.
+func TestAllocateWaysIntoMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(29)
+	var ws WaysScratch
+	feasible, infeasible := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		assoc := 16 << rng.Intn(2)
+		curves := make([]*Curve, 1+rng.Intn(8))
+		for i := range curves {
+			if rng.Intn(3) == 0 {
+				curves[i] = randomCurve(rng, assoc, 1+rng.Intn(assoc))
+			} else {
+				curves[i] = holeyCurve(rng, assoc)
+			}
+		}
+		want, wantOK := allocateWaysReference(curves, assoc)
+		got, gotOK := AllocateWaysInto(curves, assoc, &ws)
+		if gotOK != wantOK || len(got) != len(want) {
+			t.Fatalf("trial %d: got %v ok=%v, reference %v ok=%v", trial, got, gotOK, want, wantOK)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d core %d: got %v, reference %v", trial, i, got, want)
+			}
+		}
+		if wantOK {
+			feasible++
+		} else {
+			infeasible++
+		}
+	}
+	if feasible < 100 || infeasible < 100 {
+		t.Fatalf("%d feasible and %d infeasible trials, want both covered", feasible, infeasible)
+	}
+}
+
 func TestSettingsFromCurves(t *testing.T) {
 	rng := stats.NewRNG(9)
 	curves := []*Curve{randomCurve(rng, 8, 7), randomCurve(rng, 8, 7)}

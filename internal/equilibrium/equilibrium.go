@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"qosrma/internal/sched"
 	"qosrma/internal/simdb"
@@ -102,8 +103,8 @@ type Equilibrium struct {
 // withDefaults validates cfg against the oracle and the player count and
 // fills defaults.
 func (cfg Config) withDefaults(sc *sched.Scorer, players int) (Config, error) {
-	if cfg.Machines < 1 {
-		return cfg, fmt.Errorf("equilibrium: need at least one machine, got %d", cfg.Machines)
+	if cfg.Machines < 1 || cfg.Machines > maxMachines {
+		return cfg, fmt.Errorf("equilibrium: machines %d outside 1..%d", cfg.Machines, maxMachines)
 	}
 	if cfg.Capacity < 1 || cfg.Capacity > sc.Cores() {
 		return cfg, fmt.Errorf("equilibrium: capacity %d outside 1..%d", cfg.Capacity, sc.Cores())
@@ -146,42 +147,195 @@ func (cfg Config) withDefaults(sc *sched.Scorer, players int) (Config, error) {
 	return cfg, nil
 }
 
-// game is the per-start dynamics state.
+const (
+	// maxMachines is the widest fleet a solve accepts: profileKey spends
+	// two bytes per player, so wider fleets would alias distinct profiles
+	// and abandon starts on false cycles.
+	maxMachines = 1 << 16
+	// payoffCacheBits sizes a worker's payoff cache at 1<<payoffCacheBits
+	// slots (32 KB). A start of an 8-machine cluster game queries a few
+	// hundred distinct tuples; the cache is emptied when three-quarters
+	// full, so wider fleets stay correct and merely miss more.
+	payoffCacheBits = 11
+)
+
+// payoffCache is a worker's unlocked cache in front of the scorer's shared
+// payoff memo, keyed by sched.Scorer.Key and emptied at every start: open
+// addressing with linear probing. Key zero marks an empty slot; Key never
+// returns it. A cached score is the bits ScoreIDs returned for the same
+// tuple, so a hit answers exactly as the memo would, without its lock.
+type payoffCache struct {
+	slots [1 << payoffCacheBits]payoffSlot
+	n     int
+}
+
+type payoffSlot struct {
+	key   uint64
+	score float64
+}
+
+// cachePool recycles payoff caches across solves.
+var cachePool = sync.Pool{New: func() any { return new(payoffCache) }}
+
+func (c *payoffCache) reset() {
+	clear(c.slots[:])
+	c.n = 0
+}
+
+// get returns the cached score of key.
+//
+//qosrma:noalloc
+func (c *payoffCache) get(key uint64) (float64, bool) {
+	const mask = uint64(len(c.slots) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> (64 - payoffCacheBits); ; i = (i + 1) & mask {
+		switch s := &c.slots[i]; s.key {
+		case key:
+			return s.score, true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put caches the score of a key get just missed, first emptying the cache
+// when it is three-quarters full.
+//
+//qosrma:noalloc
+func (c *payoffCache) put(key uint64, score float64) {
+	const mask = uint64(len(c.slots) - 1)
+	if c.n >= len(c.slots)*3/4 {
+		c.reset()
+	}
+	i := key * 0x9E3779B97F4A7C15 >> (64 - payoffCacheBits)
+	for c.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	c.slots[i] = payoffSlot{key, score}
+	c.n++
+}
+
+// game is the dynamics state of one profile. Each machine's tenants are
+// kept as player indices in ascending order and updated per move, and each
+// machine's current score is cached until a move touches the machine, so
+// a best response costs one tuple per candidate machine rather than a
+// scan of every player.
 type game struct {
 	sc      *sched.Scorer
 	players []simdb.BenchID
 	cfg     Config
 
-	assign []int
-	occ    []int
-	buf    sched.ScoreBuf
-	ids    []simdb.BenchID // tenant-tuple scratch, rebuilt per payoff query
+	assign  []int
+	occ     []int
+	tenants []int // machine m's tenants at [m*Capacity, m*Capacity+occ[m])
+	value   []float64
+	known   []bool          // value[m] holds machine m's current score
+	cache   *payoffCache    // nil: every query goes to the scorer
+	ids     []simdb.BenchID // tenant-tuple scratch, rebuilt per payoff query
+	buf     sched.ScoreBuf
 }
 
-// tenantsWith appends machine m's tenants in ascending player order into
-// g.ids, with player p's strategy overridden to pm (pass p = -1 to take
-// the profile as is). The ascending-index order is the canonical tenant
-// order everywhere in this package, so a payoff evaluated for a deviation
-// is bit-identical to the machine's score after actually moving — and is
-// the same memo entry of the scorer.
+// newGame allocates the state and scratch of a game over players on cfg's
+// fleet; cache, when non-nil, fronts the scorer's memo. One game serves
+// every start a solver worker runs.
+func newGame(sc *sched.Scorer, players []simdb.BenchID, cfg Config, cache *payoffCache) *game {
+	return &game{sc: sc, players: players, cfg: cfg, cache: cache,
+		assign:  make([]int, len(players)),
+		occ:     make([]int, cfg.Machines),
+		tenants: make([]int, cfg.Machines*cfg.Capacity),
+		value:   make([]float64, cfg.Machines),
+		known:   make([]bool, cfg.Machines),
+		ids:     make([]simdb.BenchID, 0, cfg.Capacity),
+	}
+}
+
+// place sets the profile to a copy of assign and rebuilds every tenant
+// list from it. It fails on a machine out of range or over capacity.
+func (g *game) place(assign []int) error {
+	if len(assign) != len(g.players) {
+		return fmt.Errorf("equilibrium: assignment has %d entries for %d players",
+			len(assign), len(g.players))
+	}
+	copy(g.assign, assign)
+	clear(g.occ)
+	clear(g.known)
+	for p, m := range assign {
+		if m < 0 || m >= g.cfg.Machines {
+			return fmt.Errorf("equilibrium: machine %d out of range", m)
+		}
+		if g.occ[m] == g.cfg.Capacity {
+			return fmt.Errorf("equilibrium: machine %d holds more than %d players", m, g.cfg.Capacity)
+		}
+		g.tenants[m*g.cfg.Capacity+g.occ[m]] = p
+		g.occ[m]++
+	}
+	if g.cache != nil {
+		g.cache.reset()
+	}
+	return nil
+}
+
+// list returns machine m's tenants in ascending player order.
+func (g *game) list(m int) []int {
+	return g.tenants[m*g.cfg.Capacity : m*g.cfg.Capacity+g.occ[m]]
+}
+
+// tuple builds machine m's tenant tuple with player p inserted at its
+// ordered position (pass p = -1 for the machine as it is). The
+// ascending-index order is the canonical tenant order everywhere in this
+// package, so a payoff evaluated for a deviation is bit-identical to the
+// machine's score after actually moving — and is the same memo entry of
+// the scorer.
 //
 //qosrma:noalloc
-func (g *game) tenantsWith(m, p, pm int) []simdb.BenchID {
+func (g *game) tuple(m, p int) []simdb.BenchID {
 	g.ids = g.ids[:0]
-	for q, qm := range g.assign {
-		if q == p {
-			qm = pm
+	for _, q := range g.list(m) {
+		if p >= 0 && p < q {
+			g.ids = append(g.ids, g.players[p])
+			p = -1
 		}
-		if qm == m {
-			g.ids = append(g.ids, g.players[q])
-		}
+		g.ids = append(g.ids, g.players[q])
+	}
+	if p >= 0 {
+		g.ids = append(g.ids, g.players[p])
 	}
 	return g.ids
 }
 
-// payoff scores machine m with player p's strategy overridden to pm.
-func (g *game) payoff(m, p, pm int) (float64, error) {
-	return g.sc.ScoreIDs(g.tenantsWith(m, p, pm), &g.buf)
+// score returns the scorer's score of a tenant tuple, answering repeated
+// tuples from the game's payoff cache. Tuples the scorer does not key, and
+// errors, are never cached.
+//
+//qosrma:noalloc
+func (g *game) score(ids []simdb.BenchID) (float64, error) {
+	key, ok := g.sc.Key(ids)
+	if !ok || g.cache == nil {
+		return g.sc.ScoreIDs(ids, &g.buf)
+	}
+	if s, hit := g.cache.get(key); hit {
+		return s, nil
+	}
+	s, err := g.sc.ScoreIDs(ids, &g.buf)
+	if err != nil {
+		return 0, err
+	}
+	g.cache.put(key, s)
+	return s, nil
+}
+
+// current returns machine m's score under the current profile.
+//
+//qosrma:noalloc
+func (g *game) current(m int) (float64, error) {
+	if g.known[m] {
+		return g.value[m], nil
+	}
+	s, err := g.score(g.tuple(m, -1))
+	if err != nil {
+		return 0, err
+	}
+	g.value[m], g.known[m] = s, true
+	return s, nil
 }
 
 // bestResponse moves player p to its best feasible machine; it reports
@@ -192,7 +346,7 @@ func (g *game) payoff(m, p, pm int) (float64, error) {
 //qosrma:noalloc
 func (g *game) bestResponse(p int) (bool, error) {
 	cur := g.assign[p]
-	curPay, err := g.payoff(cur, -1, 0)
+	curPay, err := g.current(cur)
 	if err != nil {
 		return false, err
 	}
@@ -201,7 +355,7 @@ func (g *game) bestResponse(p int) (bool, error) {
 		if m == cur || g.occ[m] >= g.cfg.Capacity {
 			continue
 		}
-		pay, err := g.payoff(m, p, m)
+		pay, err := g.score(g.tuple(m, p))
 		if err != nil {
 			return false, err
 		}
@@ -212,14 +366,39 @@ func (g *game) bestResponse(p int) (bool, error) {
 	if bestM == cur {
 		return false, nil
 	}
-	g.occ[cur]--
-	g.occ[bestM]++
-	g.assign[p] = bestM
+	g.move(p, bestM, bestPay)
 	return true, nil
 }
 
-// profileKey encodes the assignment for exact cycle detection (two bytes
-// per player keeps the key exact for any realistic fleet size).
+// move moves player p to machine to, whose score with p is pay, in
+// O(Capacity): p leaves its old list and is inserted at its ordered
+// position in the new one. Only the two touched machines' scores change.
+//
+//qosrma:noalloc
+func (g *game) move(p, to int, pay float64) {
+	from := g.assign[p]
+	old := g.list(from)
+	i := 0
+	for old[i] != p {
+		i++
+	}
+	copy(old[i:], old[i+1:])
+	g.occ[from]--
+	g.known[from] = false
+
+	g.occ[to]++
+	dst := g.list(to)
+	j := len(dst) - 1
+	for ; j > 0 && dst[j-1] > p; j-- {
+		dst[j] = dst[j-1]
+	}
+	dst[j] = p
+	g.assign[p] = to
+	g.value[to], g.known[to] = pay, true
+}
+
+// profileKey encodes the assignment for exact cycle detection: two bytes
+// per player, exact for the maxMachines fleets withDefaults admits.
 func profileKey(assign []int) string {
 	b := make([]byte, 2*len(assign))
 	for i, m := range assign {
@@ -229,20 +408,14 @@ func profileKey(assign []int) string {
 	return string(b)
 }
 
-// solveStart runs one seeded start to a certified equilibrium, or reports
-// (nil, nil) when the start cycles, exceeds MaxRounds, or fails the
-// certificate.
-func solveStart(sc *sched.Scorer, players []simdb.BenchID, cfg Config, start int) (*Equilibrium, error) {
+// begin places start's initial profile — the caller's warm start for
+// start 0, otherwise a seeded feasible assignment (shuffled machine
+// slots) — and returns the start's seeded player order.
+func (g *game) begin(start int) ([]int, error) {
+	cfg := g.cfg
 	rng := stats.NewRNG(stats.SeedFrom(cfg.Seed, fmt.Sprintf("equilibrium/start/%d", start)))
-	n := len(players)
-	g := &game{sc: sc, players: players, cfg: cfg,
-		assign: make([]int, n), occ: make([]int, cfg.Machines)}
-
-	// Initial profile: the caller's warm start for start 0, otherwise a
-	// seeded feasible assignment (shuffled machine slots).
-	if start == 0 && cfg.Initial != nil {
-		copy(g.assign, cfg.Initial)
-	} else {
+	initial := cfg.Initial
+	if start != 0 || initial == nil {
 		slots := make([]int, 0, cfg.Machines*cfg.Capacity)
 		for m := 0; m < cfg.Machines; m++ {
 			for c := 0; c < cfg.Capacity; c++ {
@@ -250,13 +423,23 @@ func solveStart(sc *sched.Scorer, players []simdb.BenchID, cfg Config, start int
 			}
 		}
 		rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
-		copy(g.assign, slots[:n])
+		initial = slots[:len(g.players)]
 	}
-	for _, m := range g.assign {
-		g.occ[m]++
+	if err := g.place(initial); err != nil {
+		return nil, err
 	}
-	order := rng.Perm(n)
+	return rng.Perm(len(g.players)), nil
+}
 
+// solveStart runs one seeded start to a certified equilibrium, or reports
+// (nil, nil) when the start cycles, exceeds MaxRounds, or fails the
+// certificate.
+func (g *game) solveStart(start int) (*Equilibrium, error) {
+	cfg := g.cfg
+	order, err := g.begin(start)
+	if err != nil {
+		return nil, err
+	}
 	seen := map[string]bool{profileKey(g.assign): true}
 	rounds := 0
 	for {
@@ -281,16 +464,17 @@ func solveStart(sc *sched.Scorer, players []simdb.BenchID, cfg Config, start int
 		seen[key] = true
 	}
 
-	ok, err := verify(sc, players, g.assign, cfg)
+	ok, err := verify(g.sc, g.players, g.assign, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, nil
 	}
+	n := len(g.players)
 	eq := &Equilibrium{
-		Assignment: g.assign,
-		Machines:   tenantLists(sc, players, g.assign, cfg.Machines),
+		Assignment: append([]int(nil), g.assign...),
+		Machines:   tenantLists(g.sc, g.players, g.assign, cfg.Machines),
 		Payoffs:    make([]float64, n),
 		Rounds:     rounds,
 		Start:      start,
@@ -299,19 +483,17 @@ func solveStart(sc *sched.Scorer, players []simdb.BenchID, cfg Config, start int
 	var fleetSum float64
 	occupied := 0
 	for m := 0; m < cfg.Machines; m++ {
-		if len(eq.Machines[m]) == 0 {
+		if g.occ[m] == 0 {
 			continue
 		}
-		s, err := g.payoff(m, -1, 0)
+		s, err := g.current(m)
 		if err != nil {
 			return nil, err
 		}
 		fleetSum += s
 		occupied++
-		for p, pm := range g.assign {
-			if pm == m {
-				eq.Payoffs[p] = s
-			}
+		for _, p := range g.list(m) {
+			eq.Payoffs[p] = s
 		}
 	}
 	eq.Fleet = fleetSum / float64(occupied)
@@ -348,22 +530,16 @@ func Verify(sc *sched.Scorer, players []string, assign []int, cfg Config) (bool,
 	return verify(sc, ids, assign, cfg)
 }
 
-// verify is Verify over interned players and a defaulted config.
+// verify is Verify over interned players and a defaulted config. It
+// rebuilds its own tenant lists from assign and queries the scorer
+// directly, so it reads nothing of the dynamics' lists or caches.
 func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config) (bool, error) {
-	if len(assign) != len(players) {
-		return false, fmt.Errorf("equilibrium: assignment has %d entries for %d players",
-			len(assign), len(players))
-	}
-	g := &game{sc: sc, players: players, cfg: cfg,
-		assign: assign, occ: make([]int, cfg.Machines)}
-	for _, m := range assign {
-		if m < 0 || m >= cfg.Machines {
-			return false, fmt.Errorf("equilibrium: machine %d out of range", m)
-		}
-		g.occ[m]++
+	g := newGame(sc, players, cfg, nil)
+	if err := g.place(assign); err != nil {
+		return false, err
 	}
 	for p := range players {
-		cur, err := g.payoff(assign[p], -1, 0)
+		cur, err := g.current(assign[p])
 		if err != nil {
 			return false, err
 		}
@@ -371,7 +547,7 @@ func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config)
 			if m == assign[p] || g.occ[m] >= cfg.Capacity {
 				continue
 			}
-			pay, err := g.payoff(m, p, m)
+			pay, err := g.score(g.tuple(m, p))
 			if err != nil {
 				return false, err
 			}
@@ -387,9 +563,10 @@ func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config)
 // the master loop explores cfg.Restarts seeded starts (in parallel on
 // cfg.Workers, bit-identically for any worker count) and returns the
 // certified equilibrium with the highest fleet objective, ties broken by
-// the lowest start index. Players are interned once per call; every
-// payoff query then goes through the scorer's payoff memo, which the
-// parallel starts share. When every start cycles, exceeds MaxRounds or
+// the lowest start index. Players are interned once per call. Each worker
+// answers repeated payoff queries of a start from its own unlocked cache
+// and sends the rest to the scorer's payoff memo, which the parallel
+// starts share. When every start cycles, exceeds MaxRounds or
 // fails the certificate, the error wraps ErrNoEquilibrium — callers with
 // a fallback policy (the cluster engine) degrade on that error alone.
 func Solve(sc *sched.Scorer, players []string, cfg Config) (*Equilibrium, error) {
@@ -408,16 +585,19 @@ func SolveIDs(sc *sched.Scorer, players []simdb.BenchID, cfg Config) (*Equilibri
 	}
 	results := make([]*Equilibrium, cfg.Restarts)
 	errs := make([]error, cfg.Restarts)
-	sem := make(chan struct{}, cfg.Workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for r := 0; r < cfg.Restarts; r++ {
+	for w := 0; w < min(cfg.Workers, cfg.Restarts); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			results[r], errs[r] = solveStart(sc, players, cfg, r)
-		}(r)
+			cache := cachePool.Get().(*payoffCache)
+			defer cachePool.Put(cache)
+			g := newGame(sc, players, cfg, cache)
+			for r := int(next.Add(1)) - 1; r < cfg.Restarts; r = int(next.Add(1)) - 1 {
+				results[r], errs[r] = g.solveStart(r)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -270,6 +271,7 @@ func TestSolveValidation(t *testing.T) {
 		{Machines: 2, Capacity: 99},                         // beyond the scorer's width
 		{Machines: 1, Capacity: 1},                          // players exceed fleet capacity
 		{Machines: 2, Capacity: 2, Initial: []int{0, 5, 0}}, // machine out of range
+		{Machines: maxMachines + 1, Capacity: 2},            // profile keys would alias
 	}
 	for i, cfg := range cases {
 		if _, err := Solve(sc, players, cfg); err == nil {
@@ -281,6 +283,9 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Verify(sc, players, []int{0}, Config{Machines: 2, Capacity: 2}); err == nil {
 		t.Fatal("short assignment accepted by Verify")
+	}
+	if _, err := Verify(sc, players, []int{1, 1, 1}, Config{Machines: 2, Capacity: 2}); err == nil {
+		t.Fatal("overfull assignment accepted by Verify")
 	}
 }
 
@@ -534,10 +539,148 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
-// TestBestResponseAllocationFree pins a warm best-response round over
-// interned players (bestResponse, tenantsWith) at zero heap allocations:
-// at a fixed point every payoff query is a memo hit on scratch the game
-// already holds.
+// tenantsWith is the tuple builder the solver used before it kept tenant
+// lists: machine m's tenants in ascending player order, scanned from the
+// whole assignment, with player p's strategy overridden to pm (p = -1
+// takes the profile as is). It is the reference for the game's tuples.
+func tenantsWith(players []simdb.BenchID, assign []int, m, p, pm int) []simdb.BenchID {
+	var ids []simdb.BenchID
+	for q, qm := range assign {
+		if q == p {
+			qm = pm
+		}
+		if qm == m {
+			ids = append(ids, players[q])
+		}
+	}
+	return ids
+}
+
+// checkGame fails unless the game's incremental state matches a rebuild
+// from its assignment: each tenant list equals a fresh scan, each cached
+// machine score and each feasible deviation's tuple and payoff equal, bit
+// for bit, ScoreIDs on the tuple tenantsWith builds.
+func checkGame(t *testing.T, g *game, what string) {
+	t.Helper()
+	var buf sched.ScoreBuf
+	ref := func(ids []simdb.BenchID) float64 {
+		s, err := g.sc.ScoreIDs(ids, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for m := 0; m < g.cfg.Machines; m++ {
+		var want []int
+		for p, pm := range g.assign {
+			if pm == m {
+				want = append(want, p)
+			}
+		}
+		if got := g.list(m); !slices.Equal(got, want) {
+			t.Fatalf("%s: machine %d lists %v, rebuild %v", what, m, got, want)
+		}
+		if g.known[m] && math.Float64bits(g.value[m]) != math.Float64bits(ref(tenantsWith(g.players, g.assign, m, -1, 0))) {
+			t.Fatalf("%s: machine %d caches %v, ScoreIDs %v", what, m, g.value[m], ref(tenantsWith(g.players, g.assign, m, -1, 0)))
+		}
+	}
+	for p := range g.players {
+		for m := 0; m < g.cfg.Machines; m++ {
+			if m == g.assign[p] || g.occ[m] >= g.cfg.Capacity {
+				continue
+			}
+			want := tenantsWith(g.players, g.assign, m, p, m)
+			if got := g.tuple(m, p); !slices.Equal(got, want) {
+				t.Fatalf("%s: player %d to machine %d builds %v, reference %v", what, p, m, got, want)
+			}
+			pay, err := g.score(g.tuple(m, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(pay) != math.Float64bits(ref(want)) {
+				t.Fatalf("%s: player %d to machine %d pays %v, ScoreIDs %v", what, p, m, pay, ref(want))
+			}
+		}
+	}
+}
+
+// TestGameIncrementalState runs every start of the cluster fixtures'
+// dynamics move by move on one reused game, as a solver worker does, and
+// checks the incremental state against a from-scratch rebuild after every
+// best response.
+func TestGameIncrementalState(t *testing.T) {
+	db := testDB(t)
+	sc := sched.NewScorer(db)
+	moves := 0
+	for i, tg := range clusterGames(db.BenchNames()) {
+		players, err := sc.AppendIDs(nil, tg.players)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := tg.cfg.withDefaults(sc, len(players))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newGame(sc, players, cfg, new(payoffCache))
+		for start := 0; start < cfg.Restarts; start++ {
+			order, err := g.begin(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGame(t, g, fmt.Sprintf("game %d start %d", i, start))
+			for round := 0; round < cfg.MaxRounds; round++ {
+				moved := false
+				for _, p := range order {
+					m, err := g.bestResponse(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m {
+						moves++
+						moved = true
+						checkGame(t, g, fmt.Sprintf("game %d start %d round %d player %d", i, start, round, p))
+					}
+				}
+				if !moved {
+					break
+				}
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no fixture start moved a player")
+	}
+}
+
+// TestPayoffCacheBounded: the cache answers every key it holds with its
+// score, stays below three-quarters full, and misses after it empties.
+func TestPayoffCacheBounded(t *testing.T) {
+	c := new(payoffCache)
+	limit := len(c.slots) * 3 / 4
+	for k := uint64(1); k <= uint64(limit); k++ {
+		c.put(k*7919, float64(k))
+	}
+	for k := uint64(1); k <= uint64(limit); k++ {
+		if s, ok := c.get(k * 7919); !ok || s != float64(k) {
+			t.Fatalf("key %d: got %v, %v", k*7919, s, ok)
+		}
+	}
+	c.put(1, -1) // the cache is full: this put empties it first
+	if c.n != 1 {
+		t.Fatalf("cache holds %d entries after emptying, want 1", c.n)
+	}
+	if _, ok := c.get(7919); ok {
+		t.Fatal("an emptied cache still answers an old key")
+	}
+	if s, ok := c.get(1); !ok || s != -1 {
+		t.Fatalf("key 1: got %v, %v", s, ok)
+	}
+}
+
+// TestBestResponseAllocationFree pins a warm best-response round on the
+// game solveStart runs (bestResponse, current, tuple, score, the payoff
+// cache's get and put, move) at zero heap allocations: at a fixed point
+// every payoff query is a cache hit on scratch the game already holds.
 func TestBestResponseAllocationFree(t *testing.T) {
 	db := testDB(t)
 	sc := sched.NewScorer(db)
@@ -550,11 +693,13 @@ func TestBestResponseAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &game{sc: sc, players: players, cfg: cfg,
-		assign: make([]int, len(players)), occ: make([]int, cfg.Machines)}
-	for p := range g.assign {
-		g.assign[p] = p % cfg.Machines
-		g.occ[p%cfg.Machines]++
+	g := newGame(sc, players, cfg, new(payoffCache))
+	assign := make([]int, len(players))
+	for p := range assign {
+		assign[p] = p % cfg.Machines
+	}
+	if err := g.place(assign); err != nil {
+		t.Fatal(err)
 	}
 	round := func() bool {
 		moved := false
@@ -572,11 +717,34 @@ func TestBestResponseAllocationFree(t *testing.T) {
 			t.Fatal("dynamics did not settle; pick another fixture")
 		}
 	}
+	p := 0
+	from := g.assign[p]
+	to := (from + 1) % cfg.Machines
+	for g.occ[to] == cfg.Capacity {
+		to = (to + 1) % cfg.Machines
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if round() {
 			t.Fatal("a player moved at a fixed point")
 		}
-		g.tenantsWith(0, 0, 0) // a deviation query, outside bestResponse too
+		if _, err := g.current(0); err != nil {
+			t.Fatal(err)
+		}
+		g.cache.put(1, 0) // a key no tuple has: slots hold ID+1
+		if _, ok := g.cache.get(1); !ok {
+			t.Fatal("payoff cache lost a key")
+		}
+		// A move and its undo, outside the dynamics.
+		pay, err := g.score(g.tuple(to, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.move(p, to, pay)
+		back, err := g.score(g.tuple(from, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.move(p, from, back)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm best-response round allocates %.1f objects, want 0", allocs)

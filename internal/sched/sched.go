@@ -150,8 +150,7 @@ func NewScorer(db *simdb.DB) *Scorer {
 		agg:    make([]aggEntry, db.NumBenches()),
 		curves: make([]curveEntry, db.NumBenches()*n),
 	}
-	// Slots hold ID+1 so that no slot is zero and tuples of different
-	// lengths never share a key.
+	// Key's slots hold ID+1, so they need the bits of NumBenches.
 	if b := uint(bits.Len(uint(db.NumBenches()))); b*uint(n) <= 64 {
 		sc.keyBits = b
 	}
@@ -244,18 +243,17 @@ func (sc *Scorer) ScoreInto(apps []string, buf *ScoreBuf) (float64, error) {
 //
 //qosrma:noalloc
 func (sc *Scorer) ScoreIDs(ids []simdb.BenchID, buf *ScoreBuf) (float64, error) {
-	if len(ids) == 0 || len(ids) > sc.cores {
-		return 0, fmt.Errorf("sched: machine holds 1..%d apps, got %d", sc.cores, len(ids))
-	}
-	var key uint64
-	for _, id := range ids {
-		if id < 0 || int(id) >= len(sc.agg) {
-			return 0, fmt.Errorf("sched: benchmark id %d outside 0..%d", id, len(sc.agg)-1)
+	key, ok := sc.Key(ids)
+	if !ok {
+		if len(ids) == 0 || len(ids) > sc.cores {
+			return 0, fmt.Errorf("sched: machine holds 1..%d apps, got %d", sc.cores, len(ids))
 		}
-		key = key<<sc.keyBits | uint64(id+1)
-	}
-	if sc.keyBits == 0 {
-		return sc.score(ids, buf), nil
+		for _, id := range ids {
+			if id < 0 || int(id) >= len(sc.agg) {
+				return 0, fmt.Errorf("sched: benchmark id %d outside 0..%d", id, len(sc.agg)-1)
+			}
+		}
+		return sc.score(ids, buf), nil // the memo is off
 	}
 	sh := &sc.memo[key*0x9E3779B97F4A7C15>>(64-memoShardBits)] // Fibonacci hashing
 	sh.mu.RLock()
@@ -272,6 +270,28 @@ func (sc *Scorer) ScoreIDs(ids []simdb.BenchID, buf *ScoreBuf) (float64, error) 
 	sh.m[key] = s
 	sh.mu.Unlock()
 	return s, nil
+}
+
+// Key packs an ordered tenant tuple into the payoff memo's key: one
+// keyBits-wide slot per tenant holding its ID+1, so no slot is zero and
+// tuples of different lengths never share a key. Equal keys name equal
+// tuples, so a caller may cache ScoreIDs results by key. ok is false when
+// the memo is off (a full machine's tuple does not fit 64 bits) or when
+// ScoreIDs rejects the tuple; neither may be cached.
+//
+//qosrma:noalloc
+func (sc *Scorer) Key(ids []simdb.BenchID) (uint64, bool) {
+	if sc.keyBits == 0 || len(ids) == 0 || len(ids) > sc.cores {
+		return 0, false
+	}
+	var key uint64
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(sc.agg) {
+			return 0, false
+		}
+		key = key<<sc.keyBits | uint64(id+1)
+	}
+	return key, true
 }
 
 // score computes one machine's collocation score from the cached curves.

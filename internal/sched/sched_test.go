@@ -574,6 +574,9 @@ func TestScoreIDsValidation(t *testing.T) {
 		if _, err := sc.ScoreIDs(ids, &buf); err == nil {
 			t.Fatalf("ScoreIDs(%v) accepted", ids)
 		}
+		if _, ok := sc.Key(ids); ok {
+			t.Fatalf("Key(%v) keyed a rejected tuple", ids)
+		}
 	}
 	for i := range sc.memo {
 		if n := len(sc.memo[i].m); n != 0 {
@@ -582,8 +585,50 @@ func TestScoreIDsValidation(t *testing.T) {
 	}
 }
 
-// TestScoreIDsAllocationFree pins ScoreIDs' memo-hit path at zero heap
-// allocations.
+// TestKeyInjective: distinct ordered tuples of one to three tenants get
+// distinct nonzero keys, and a scorer with the memo off keys nothing.
+func TestKeyInjective(t *testing.T) {
+	db := testDB(t)
+	sc := NewScorer(db)
+	n := simdb.BenchID(db.NumBenches())
+	seen := map[uint64][]simdb.BenchID{}
+	var rec func(ids []simdb.BenchID)
+	rec = func(ids []simdb.BenchID) {
+		if len(ids) > 0 {
+			k, ok := sc.Key(ids)
+			if !ok || k == 0 {
+				t.Fatalf("Key(%v) = %d, %v", ids, k, ok)
+			}
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("Key(%v) = Key(%v) = %d", ids, prev, k)
+			}
+			seen[k] = append([]simdb.BenchID(nil), ids...)
+		}
+		if len(ids) == 3 || len(ids) == sc.Cores() {
+			return
+		}
+		for id := simdb.BenchID(0); id < n; id++ {
+			rec(append(ids, id))
+		}
+	}
+	rec(nil)
+	off := NewScorer(db)
+	off.keyBits = 0
+	if _, ok := off.Key([]simdb.BenchID{0}); ok {
+		t.Fatal("Key keyed a tuple with the memo off")
+	}
+	var buf ScoreBuf
+	want, err := sc.ScoreIDs([]simdb.BenchID{0, 1}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := off.ScoreIDs([]simdb.BenchID{0, 1}, &buf); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("memo-off ScoreIDs = %v, %v; memoized %v", got, err, want)
+	}
+}
+
+// TestScoreIDsAllocationFree pins ScoreIDs' memo-hit path, and Key, at
+// zero heap allocations.
 func TestScoreIDsAllocationFree(t *testing.T) {
 	db := testDB(t)
 	sc := NewScorer(db)
@@ -598,6 +643,9 @@ func TestScoreIDsAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := sc.ScoreIDs(ids, &buf); err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := sc.Key(ids); !ok {
+			t.Fatal("Key rejected a valid tuple")
 		}
 	})
 	if allocs != 0 {

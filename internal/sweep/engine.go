@@ -34,15 +34,6 @@ func WithWorkers(n int) EngineOption {
 	}
 }
 
-// WithCache shares an existing cache between engines.
-func WithCache(c *Cache) EngineOption {
-	return func(e *Engine) {
-		if c != nil {
-			e.cache = c
-		}
-	}
-}
-
 // WithExec overrides the point executor (tests use this to count or stub
 // the underlying simulation).
 func WithExec(f func(RunSpec) (*rmasim.Result, error)) EngineOption {
@@ -59,7 +50,7 @@ func WithEmitter(em Emitter) EngineOption {
 	return func(e *Engine) { e.emitter = em }
 }
 
-// NewEngine builds an engine with a fresh cache unless one is shared in.
+// NewEngine builds an engine with a fresh cache.
 func NewEngine(opts ...EngineOption) *Engine {
 	e := &Engine{
 		cache:   NewCache(),
@@ -72,7 +63,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	return e
 }
 
-// Cache exposes the engine's cache (for stats reporting and sharing).
+// Cache exposes the engine's cache (for stats reporting).
 func (e *Engine) Cache() *Cache { return e.cache }
 
 // SetEmitter installs or replaces the streaming emitter (nil disables).
