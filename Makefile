@@ -128,6 +128,8 @@ chaos:
 # caches, SimPoint included), bounds-accelerated k-means against the plain
 # Lloyd reference, concurrent service batches vs sequential library calls,
 # the binary decide path vs the JSON one on the same seeded trace, the
+# JSON decide path's bytes vs encoding/json's (encoder over the whole
+# lattice, served responses vs the reference handler on every seed), the
 # binary response stream hash across shard/cache layouts, the Nash solver's
 # equilibrium across solver worker counts and repeated runs and against the
 # unmemoized reference solver, the scorer's payoff memo against fresh
@@ -137,7 +139,7 @@ chaos:
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey' \
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey' \
 		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim
 
 # Golden-table regression: regenerate the committed paper tables (via

@@ -20,7 +20,7 @@ func testShardQuery(t *testing.T) (*Server, *shard, *decideQuery) {
 	for i := range apps {
 		apps[i] = AppQuery{Bench: db.BenchName(0), Phase: 0}
 	}
-	q, err := resolveQuery(sn, &DecideQuery{Apps: apps})
+	q, err := resolveQueryRef(sn, &DecideQuery{Apps: apps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,7 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,16 +148,15 @@ type managerKey struct {
 }
 
 // task is one unit of work in flight through a shard: a decide query
-// (q/res/wg set) or a self-audit request (audit set). ephemeral marks a
-// query resolved into connection-owned scratch (the wire path): the
-// worker must clone it before the cache may retain it.
+// (q/res/wg set) or a self-audit request (audit set). Every decide query
+// is resolved into request- or connection-owned scratch (a resolver), so
+// the worker clones it before the cache may retain it.
 type task struct {
-	q         *decideQuery
-	sn        *snapshot
-	res       *decideResult
-	wg        *sync.WaitGroup
-	audit     *auditTask
-	ephemeral bool
+	q     *decideQuery
+	sn    *snapshot
+	res   *decideResult
+	wg    *sync.WaitGroup
+	audit *auditTask
 }
 
 // shard owns a partition of the decision key space.
@@ -200,24 +197,37 @@ func (sh *shard) adopt(sn *snapshot) {
 	sh.statPtrs = make([]*core.IntervalStats, n)
 }
 
-// parseScheme resolves the wire name of a scheme.
+// schemeNames maps every accepted lowercase scheme name.
+var schemeNames = map[string]core.Scheme{
+	"static":        core.SchemeStatic,
+	"dvfs":          core.SchemeDVFSOnly,
+	"dvfs-only":     core.SchemeDVFSOnly,
+	"rm1":           core.SchemePartitionOnly,
+	"partition":     core.SchemePartitionOnly,
+	"":              core.SchemeCoordDVFSCache,
+	"rm2":           core.SchemeCoordDVFSCache,
+	"coord":         core.SchemeCoordDVFSCache,
+	"rm3":           core.SchemeCoordCoreDVFSCache,
+	"core":          core.SchemeCoordCoreDVFSCache,
+	"ucp":           core.SchemeUCPDVFS,
+	"uncoordinated": core.SchemeUCPDVFS,
+}
+
+// parseScheme resolves the wire name of a scheme, in any letter case.
 func parseScheme(name string) (core.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "static":
-		return core.SchemeStatic, nil
-	case "dvfs", "dvfs-only":
-		return core.SchemeDVFSOnly, nil
-	case "rm1", "partition":
-		return core.SchemePartitionOnly, nil
-	case "", "rm2", "coord":
-		return core.SchemeCoordDVFSCache, nil
-	case "rm3", "core":
-		return core.SchemeCoordCoreDVFSCache, nil
-	case "ucp", "uncoordinated":
-		return core.SchemeUCPDVFS, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want static, dvfs, rm1, rm2, rm3 or ucp)", name)
+	if scheme, ok := schemeNames[strings.ToLower(name)]; ok {
+		return scheme, nil
 	}
+	return 0, fmt.Errorf("unknown scheme %q (want static, dvfs, rm1, rm2, rm3 or ucp)", name)
+}
+
+// parseSchemeBytes is parseScheme over a name's bytes: the lowercase
+// names clients send resolve without allocating.
+func parseSchemeBytes(name []byte) (core.Scheme, error) {
+	if scheme, ok := schemeNames[string(name)]; ok {
+		return scheme, nil
+	}
+	return parseScheme(string(name))
 }
 
 // parseModel resolves the wire model number, applying the scheme default.
@@ -239,61 +249,103 @@ func parseModel(model int, scheme core.Scheme) (core.ModelKind, error) {
 	}
 }
 
-// resolveQuery validates one wire query against the snapshot's database
-// and builds its canonical routing/cache key.
-func resolveQuery(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
-	db := sn.db
-	n := db.Sys.NumCores
-	if len(q.Apps) != n {
-		return nil, fmt.Errorf("co-phase vector needs %d apps (one per core), got %d", n, len(q.Apps))
+// resolver is the resolve state one decide request stream reuses: the
+// JSON path's pooled per-request scratch and each wire connection's
+// scratch embed one. It owns the arenas resolved queries live in (their
+// slices alias it, which is why shards clone before caching) and
+// memoizes the manager configuration across consecutive queries, so the
+// canonical slack key is rendered once per distinct (scheme, model,
+// slack) configuration rather than once per query.
+//
+//qosrma:shardowned
+type resolver struct {
+	queries []decideQuery  // query arena; each entry keeps its key buffer
+	qptrs   []*decideQuery // fan-out view over the arena
+	results []decideResult
+	ids     []simdb.BenchID
+	phases  []int
+	slack   []float64
+
+	cfg      managerKey
+	cfgSlack []float64
+	cfgHasSl bool
+	cfgValid bool
+}
+
+// prepare sizes the arenas for count queries over apps flattened
+// co-phase slots and slack flattened slack entries.
+//
+//qosrma:noalloc
+func (rs *resolver) prepare(count, apps, slack int) {
+	rs.queries = grow(rs.queries, count)
+	rs.qptrs = grow(rs.qptrs, count)
+	rs.results = grow(rs.results, count)
+	rs.ids = grow(rs.ids, apps)
+	rs.phases = grow(rs.phases, apps)
+	rs.slack = grow(rs.slack, slack)
+}
+
+// config returns the manager configuration of (scheme, model, slack),
+// rendering the slack key only when it differs from the previous call's.
+//
+//qosrma:noalloc
+func (rs *resolver) config(scheme core.Scheme, model core.ModelKind, slack []float64) managerKey {
+	if !rs.cfgValid || scheme != rs.cfg.scheme || model != rs.cfg.model ||
+		!slackEqual(slack, rs.cfgSlack, rs.cfgHasSl) {
+		rs.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
+		rs.cfgSlack = append(rs.cfgSlack[:0], slack...)
+		rs.cfgHasSl = slack != nil
+		rs.cfgValid = true
 	}
-	scheme, err := parseScheme(q.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	model, err := parseModel(q.Model, scheme)
-	if err != nil {
-		return nil, err
-	}
-	var slack []float64
-	switch {
-	case len(q.Slacks) > 0:
-		if len(q.Slacks) != n {
-			return nil, fmt.Errorf("slacks needs %d entries, got %d", n, len(q.Slacks))
-		}
-		slack = q.Slacks
-	case q.Slack != 0:
-		slack = make([]float64, n)
-		for i := range slack {
-			slack[i] = q.Slack
-		}
-	}
+	return rs.cfg
+}
+
+// set stores resolved query qi and builds its canonical key.
+//
+//qosrma:noalloc
+func (rs *resolver) set(qi int, cfg managerKey, slack []float64, ids []simdb.BenchID, phases []int) {
+	q := &rs.queries[qi]
+	q.cfg = cfg
+	q.slack = slack
+	q.ids = ids
+	q.phases = phases
+	q.key = appendQueryKey(q.key[:0], cfg, ids, phases)
+	rs.qptrs[qi] = q
+}
+
+// checkSlack rejects negative slack entries (both codecs).
+func checkSlack(slack []float64) error {
 	for i, v := range slack {
 		if v < 0 {
-			return nil, fmt.Errorf("slack[%d] = %g is negative", i, v)
+			return fmt.Errorf("slack[%d] = %g is negative", i, v)
 		}
 	}
+	return nil
+}
 
-	rq := &decideQuery{
-		slack:  slack,
-		ids:    make([]simdb.BenchID, n),
-		phases: make([]int, n),
+// slackEqual compares a candidate slack vector against the memoized one
+// (hasPrev distinguishes the nil configuration from an empty slice).
+func slackEqual(slack, prev []float64, hasPrev bool) bool {
+	if (slack == nil) != !hasPrev || len(slack) != len(prev) {
+		return false
 	}
-	for i, app := range q.Apps {
-		id, ok := db.BenchIDOf(app.Bench)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", app.Bench)
+	for i, v := range slack {
+		if v != prev[i] {
+			return false
 		}
-		np := db.Benches[id].Analysis.NumPhases
-		if app.Phase < 0 || app.Phase >= np {
-			return nil, fmt.Errorf("%s has phases 0..%d, got %d", app.Bench, np-1, app.Phase)
-		}
-		rq.ids[i] = id
-		rq.phases[i] = app.Phase
 	}
-	rq.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
-	rq.key = appendQueryKey(make([]byte, 0, 64), rq.cfg, rq.ids, rq.phases)
-	return rq, nil
+	return true
+}
+
+// grow returns s resized to n, reusing its capacity. A reallocation keeps
+// the old elements, so a query arena's entries keep their key buffers.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		ns := make([]T, n)
+		copy(ns, s[:cap(s)])
+		return ns
+	}
+	return s[:n]
 }
 
 // slackKeyOf renders the canonical slack-vector key ("" for all-zero) —
@@ -458,11 +510,7 @@ func (sh *shard) process(t task) {
 		sh.misses.Add(1)
 		res := sh.compute(t.q)
 		if sh.lru.admit(h) {
-			q := t.q
-			if t.ephemeral {
-				q = q.clone()
-			}
-			sh.lru.add(t.q.key, h, q, res)
+			sh.lru.add(t.q.key, h, t.q.clone(), res)
 		} else if sh.srv.opt.CacheSize > 0 {
 			sh.admRejects.Add(1)
 		}
@@ -494,106 +542,31 @@ func (sh *shard) run() {
 	}
 }
 
-// decide answers a batch of resolved queries by fanning them out to their
-// shards and awaiting completion. The read lock pairs with Close's write
-// lock: while any decide holds it the workers cannot be stopped, so an
-// accepted task is always drained and wg.Wait cannot strand the handler;
+// decideInto answers a batch of resolved queries by fanning them out to
+// their shards and awaiting completion: results[i] receives the answer to
+// queries[i]. Both codecs call it with resolver-owned storage, which is
+// what keeps a steady-state decision free of per-request allocation
+// beyond the fan-out's WaitGroup. The read lock pairs with Close's write
+// lock: while any fan-out holds it the workers cannot be stopped, so an
+// accepted task is always drained and wg.Wait cannot strand the caller;
 // after Close, requests fail fast instead of queueing into dead shards.
-func (s *Server) decide(sn *snapshot, queries []*decideQuery) ([]decideResult, error) {
-	results := make([]decideResult, len(queries))
-	if err := s.decideInto(sn, queries, results, false); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// decideInto is decide with caller-owned result storage: results[i]
-// receives the answer to queries[i]. The binary path calls it with
-// per-connection scratch (and ephemeral=true, because those queries
-// alias connection buffers the cache must not retain), which is what
-// keeps a steady-state wire decision free of per-request allocation.
-func (s *Server) decideInto(sn *snapshot, queries []*decideQuery, results []decideResult, ephemeral bool) error {
+// Draining is the callers' business: HTTP refuses new work, while a wire
+// frame already read is answered (Shutdown waits for the wire loops
+// before it closes).
+func (s *Server) decideInto(sn *snapshot, queries []*decideQuery, results []decideResult) error {
 	start := time.Now()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {
 		return errServerClosed
 	}
-	if s.draining.Load() {
-		return errDraining
-	}
 	var wg sync.WaitGroup
 	wg.Add(len(queries))
 	for i, q := range queries {
-		s.shardOf(q.key).ch <- task{q: q, sn: sn, res: &results[i], wg: &wg, ephemeral: ephemeral}
+		s.shardOf(q.key).ch <- task{q: q, sn: sn, res: &results[i], wg: &wg}
 	}
 	wg.Wait()
 	s.metrics.decideSeconds.Observe(time.Since(start).Seconds())
 	s.metrics.decideBatch.Observe(float64(len(queries)))
 	return nil
-}
-
-// settingsJSON renders per-core settings on the wire, resolving frequency
-// indices against the snapshot the decision was made on.
-func (sn *snapshot) settingsJSON(settings []arch.Setting) []SettingJSON {
-	out := make([]SettingJSON, len(settings))
-	for i, st := range settings {
-		out[i] = SettingJSON{
-			Size:    st.Size.String(),
-			FreqIdx: st.FreqIdx,
-			FreqGHz: sn.db.Sys.DVFS[st.FreqIdx].FreqGHz,
-			Ways:    st.Ways,
-		}
-	}
-	return out
-}
-
-// handleDecide is POST /v1/decide.
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	if !s.gate.TryAcquire() {
-		writeUnavailable(w, errOverloaded)
-		return
-	}
-	defer s.gate.Release()
-	sn := s.snap.Load()
-	var req DecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	single := len(req.Queries) == 0
-	wire := req.Queries
-	if single {
-		wire = []DecideQuery{req.DecideQuery}
-	}
-	if len(wire) > s.opt.MaxBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wire), s.opt.MaxBatch))
-		return
-	}
-	queries := make([]*decideQuery, len(wire))
-	for i := range wire {
-		q, err := resolveQuery(sn, &wire[i])
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		queries[i] = q
-	}
-	results, err := s.decide(sn, queries)
-	if err != nil {
-		writeUnavailable(w, err)
-		return
-	}
-	var resp DecideResponse
-	answers := make([]DecideAnswer, len(results))
-	for i, res := range results {
-		answers[i] = DecideAnswer{Decided: res.decided, Settings: sn.settingsJSON(res.settings)}
-	}
-	if single {
-		resp.Result = &answers[0]
-	} else {
-		resp.Results = answers
-	}
-	writeJSON(w, http.StatusOK, &resp)
 }

@@ -104,6 +104,25 @@ func TestWireDrainAnswersInFlightFrame(t *testing.T) {
 	}
 }
 
+// TestWireFrameAnsweredWhileDraining isolates the window the test above
+// can only race into: with the draining flag set (Shutdown's first step)
+// but the wire drain not yet begun, an HTTP decide is refused with 503
+// while a wire frame the server has read is still answered.
+func TestWireFrameAnsweredWhileDraining(t *testing.T) {
+	srv, url, addr := wireServer(t, Options{Shards: 2})
+	jsonReqs, wireReqs := wireTrace(t, srv, 97, 1)
+	cl := dialWire(t, addr)
+	srv.draining.Store(true)
+	if code := postJSON(t, url+"/v1/decide", &jsonReqs[0], nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("HTTP decide while draining answered %d, want 503", code)
+	}
+	cl.send(t, wire.AppendDecideRequest(nil, &wireReqs[0]))
+	if typ, payload := cl.next(t); typ != wire.TypeDecideResponse {
+		_, code, msg, _ := wire.ParseError(payload)
+		t.Fatalf("wire frame while draining answered type %#x (code %d %q), want DecideResponse", typ, code, msg)
+	}
+}
+
 // TestDecideShedsAtMaxInflight: with MaxInflight 1 and one request parked
 // inside the handler (held open by an unfinished body), a second decide is
 // refused with the shed signature (503 + Retry-After) and the shed counter

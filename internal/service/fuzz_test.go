@@ -21,24 +21,32 @@ func fuzzServer(t testing.TB) *Server {
 	return fuzzSrv
 }
 
+// decideSeeds are the FuzzDecideRequest seeds, shared with
+// FuzzDecideJSONMatchesStdlib.
+var decideSeeds = []string{
+	`{"scheme":"rm2","slack":0.2,"apps":[{"bench":"mcf","phase":0},{"bench":"astar","phase":1},{"bench":"bzip2","phase":0},{"bench":"gcc","phase":2}]}`,
+	`{"queries":[{"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}]}`,
+	``,
+	`{`,
+	`[]`,
+	`{"apps": 42}`,
+	`{"apps":[{"bench":"mcf","phase":-1}]}`,
+	`{"scheme":"rm9","apps":[]}`,
+	`{"model":99,"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}`,
+	`{"slacks":[0.1,0.2],"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}`,
+	`{"apps":[{"bench":"\u0000","phase":9999999999},{"bench":"mcf"},{"bench":"mcf"},{"bench":"mcf"}]}`,
+	strings.Repeat(`{"queries":[`, 50),
+}
+
 // FuzzDecideRequest pins the request-decoding hardening invariant: no
 // body, however malformed, may crash the server or surface as a 5xx —
 // malformed JSON, wrong arities, unknown benchmarks and out-of-range
 // phases all answer 4xx, and well-formed queries answer 200. The seed
 // corpus (testdata/fuzz/FuzzDecideRequest) covers both sides.
 func FuzzDecideRequest(f *testing.F) {
-	f.Add(`{"scheme":"rm2","slack":0.2,"apps":[{"bench":"mcf","phase":0},{"bench":"astar","phase":1},{"bench":"bzip2","phase":0},{"bench":"gcc","phase":2}]}`)
-	f.Add(`{"queries":[{"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}]}`)
-	f.Add(``)
-	f.Add(`{`)
-	f.Add(`[]`)
-	f.Add(`{"apps": 42}`)
-	f.Add(`{"apps":[{"bench":"mcf","phase":-1}]}`)
-	f.Add(`{"scheme":"rm9","apps":[]}`)
-	f.Add(`{"model":99,"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}`)
-	f.Add(`{"slacks":[0.1,0.2],"apps":[{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0},{"bench":"mcf","phase":0}]}`)
-	f.Add(`{"apps":[{"bench":"\u0000","phase":9999999999},{"bench":"mcf"},{"bench":"mcf"},{"bench":"mcf"}]}`)
-	f.Add(strings.Repeat(`{"queries":[`, 50))
+	for _, body := range decideSeeds {
+		f.Add(body)
+	}
 
 	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body string) {

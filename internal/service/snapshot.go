@@ -12,10 +12,13 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 	"time"
 
+	"qosrma/internal/arch"
 	"qosrma/internal/simdb"
 )
 
@@ -39,6 +42,10 @@ type snapshot struct {
 	source string
 	// loaded is when this snapshot became current.
 	loaded time.Time
+	// settingJSON holds, per (size, freq_idx) at index
+	// size*len(DVFS)+freq_idx, encoding/json's rendering of a SettingJSON
+	// up to its last value: `{"size":…,"freq_idx":…,"freq_ghz":…,"ways":`.
+	settingJSON [][]byte
 }
 
 // errNoReloader answers /admin/reload when the server has no configured
@@ -53,14 +60,35 @@ func (s *Server) newSnapshot(db *simdb.DB, source string) *snapshot {
 	// fingerprint, and a zero is simply never matched by clients.
 	h64, _ := strconv.ParseUint(hash, 16, 64)
 	return &snapshot{
-		gen:    s.gen.Add(1),
-		db:     db,
-		scorer: newScoreState(db),
-		hash:   hash,
-		hash64: h64,
-		source: source,
-		loaded: time.Now(),
+		gen:         s.gen.Add(1),
+		db:          db,
+		scorer:      newScoreState(db),
+		hash:        hash,
+		hash64:      h64,
+		source:      source,
+		loaded:      time.Now(),
+		settingJSON: renderSettingPrefixes(db.Sys),
 	}
+}
+
+// renderSettingPrefixes renders every (size, freq_idx) prefix of a
+// SettingJSON with encoding/json itself, so the JSON decide path's answers
+// are json.Encoder's bytes by construction.
+func renderSettingPrefixes(sys arch.SystemConfig) [][]byte {
+	out := make([][]byte, 0, arch.NumCoreSizes*len(sys.DVFS))
+	for size := arch.CoreSize(0); size < arch.NumCoreSizes; size++ {
+		for f, op := range sys.DVFS {
+			b, err := json.Marshal(SettingJSON{Size: size.String(), FreqIdx: f, FreqGHz: op.FreqGHz})
+			if err != nil {
+				// Only a non-finite frequency fails: JSON cannot
+				// represent it, so no decide answer could be rendered.
+				panic(fmt.Sprintf("service: render setting %v/%d: %v", size, f, err))
+			}
+			// Ways is the last field and zero here: drop its `0}`.
+			out = append(out, b[:len(b)-len("0}")])
+		}
+	}
+	return out
 }
 
 // Swap atomically replaces the serving snapshot with a new one built over

@@ -1,14 +1,13 @@
 // Binary serving path: the wire protocol (internal/wire) served over raw
 // TCP beside the HTTP/JSON API. A connection is one goroutine running a
 // decode → fan-out → encode loop over per-connection scratch: frames are
-// parsed zero-copy out of the read buffer, queries are resolved into a
-// reused arena (their canonical keys built by the same appendQueryKey the
-// JSON path uses, so both codecs share shard placement and cached
-// decisions), and the answer is encoded into a reused output buffer — the
-// steady-state loop performs no per-request allocation beyond the one
-// WaitGroup of the fan-out. Queries resolved here alias connection scratch,
-// so their tasks are marked ephemeral: a shard clones a query before the
-// cache may retain it.
+// parsed zero-copy out of the read buffer, queries are resolved by the
+// same resolver the JSON path uses (so both codecs build the same
+// canonical keys and share shard placement and cached decisions), and the
+// answer is encoded into a reused output buffer — the steady-state loop
+// performs no per-request allocation beyond the one WaitGroup of the
+// fan-out. Queries resolved here alias connection scratch, which is why a
+// shard clones a query before the cache may retain it.
 //
 // Error discipline mirrors the codec's contract: a malformed payload
 // inside a well-formed frame answers a TypeError frame and the connection
@@ -148,27 +147,15 @@ func (s *Server) closeWire() {
 
 // wireScratch is one connection's reusable decode/resolve/encode state.
 // Everything grows to the connection's working set once and is reused for
-// every later frame.
+// every later frame; the embedded resolver also memoizes the manager
+// configuration, which frames on one connection overwhelmingly repeat.
 //
 //qosrma:shardowned
 type wireScratch struct {
-	req     wire.DecideRequest
-	queries []decideQuery  // query arena; each entry keeps its key buffer
-	qptrs   []*decideQuery // fan-out view over the arena
-	ids     []simdb.BenchID
-	phases  []int
-	slack   []float64
-	results []decideResult
-	resp    wire.DecideResponse
-	out     []byte
-
-	// Manager-configuration memo: frames on one connection overwhelmingly
-	// repeat one (scheme, model, slack) configuration, so the canonical
-	// slackKey string is built once and reused until the config changes.
-	cfg      managerKey
-	cfgSlack []float64
-	cfgHasSl bool
-	cfgValid bool
+	req  wire.DecideRequest
+	resp wire.DecideResponse
+	out  []byte
+	resolver
 }
 
 // serveWireConn runs one connection's serve loop.
@@ -314,7 +301,7 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 		}
 		return s.writeWireError(bw, req.Seq, errCode, err.Error())
 	}
-	if err := s.decideInto(sn, sc.qptrs[:count], sc.results[:count], true); err != nil {
+	if err := s.decideInto(sn, sc.qptrs, sc.results); err != nil {
 		return s.writeWireError(bw, req.Seq, wire.ErrCodeUnavailable, err.Error())
 	}
 	s.wire.queries.Add(uint64(count))
@@ -343,9 +330,9 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 }
 
 // resolveWireQueries validates sc.req against the snapshot and fills the
-// scratch arenas with resolved queries whose canonical keys are built by
-// the same appendQueryKey as the JSON path. On success the first return
-// is the query count and sc.qptrs/sc.results are sized to it.
+// resolver with queries whose canonical keys match the JSON path's. On
+// success the first return is the query count and sc.qptrs/sc.results
+// are sized to it.
 func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.ErrCode, error) {
 	req := &sc.req
 	db := sn.db
@@ -367,45 +354,30 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 		return 0, wire.ErrCodeMalformed,
 			fmt.Errorf("batch of %d queries exceeds the limit of %d", count, s.opt.MaxBatch)
 	}
+	rs := &sc.resolver
+	rs.prepare(count, count*n, n)
 
-	// Slack resolution mirrors resolveQuery exactly: a uniform slack of
+	// Slack resolution mirrors the JSON path exactly: a uniform slack of
 	// zero is the nil (no-slack) configuration, a per-core vector is taken
 	// verbatim (even all-zero), negatives are rejected.
 	var slack []float64
 	switch {
 	case req.Flags&wire.FlagSlackUniform != 0 && req.Slack != 0:
-		sc.slack = growFloat64s(sc.slack, n)
-		for i := range sc.slack {
-			sc.slack[i] = req.Slack
+		slack = rs.slack
+		for i := range slack {
+			slack[i] = req.Slack
 		}
-		slack = sc.slack
 	case req.Flags&wire.FlagSlackPerCore != 0:
-		sc.slack = growFloat64s(sc.slack, n)
-		copy(sc.slack, req.Slacks)
-		slack = sc.slack
+		slack = rs.slack
+		copy(slack, req.Slacks)
 	}
-	for i, v := range slack {
-		if v < 0 {
-			return 0, wire.ErrCodeMalformed, fmt.Errorf("slack[%d] = %g is negative", i, v)
-		}
+	if err := checkSlack(slack); err != nil {
+		return 0, wire.ErrCodeMalformed, err
 	}
-	if !sc.cfgValid || scheme != sc.cfg.scheme || model != sc.cfg.model ||
-		!slackEqual(slack, sc.cfgSlack, sc.cfgHasSl) {
-		sc.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
-		sc.cfgSlack = append(sc.cfgSlack[:0], slack...)
-		sc.cfgHasSl = slack != nil
-		sc.cfgValid = true
-	}
-
-	total := count * n
-	sc.ids = growBenchIDs(sc.ids, total)
-	sc.phases = growInts(sc.phases, total)
-	sc.queries = growQueries(sc.queries, count)
-	sc.qptrs = growQueryPtrs(sc.qptrs, count)
-	sc.results = growResults(sc.results, count)
+	cfg := rs.config(scheme, model, slack)
 	for qi := 0; qi < count; qi++ {
-		ids := sc.ids[qi*n : (qi+1)*n]
-		phases := sc.phases[qi*n : (qi+1)*n]
+		ids := rs.ids[qi*n : (qi+1)*n]
+		phases := rs.phases[qi*n : (qi+1)*n]
 		for c, a := range req.Apps[qi*n : (qi+1)*n] {
 			id := int(a.Bench)
 			if id >= len(db.Benches) {
@@ -420,74 +392,7 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 			ids[c] = simdb.BenchID(id)
 			phases[c] = int(a.Phase)
 		}
-		q := &sc.queries[qi]
-		q.cfg = sc.cfg
-		q.slack = slack
-		q.ids = ids
-		q.phases = phases
-		q.key = appendQueryKey(q.key[:0], sc.cfg, ids, phases)
-		sc.qptrs[qi] = q
+		rs.set(qi, cfg, slack, ids, phases)
 	}
 	return count, 0, nil
-}
-
-// slackEqual compares a candidate slack vector against the memoized one
-// (hasPrev distinguishes the nil configuration from an empty slice).
-func slackEqual(slack, prev []float64, hasPrev bool) bool {
-	if (slack == nil) != !hasPrev || len(slack) != len(prev) {
-		return false
-	}
-	for i, v := range slack {
-		if v != prev[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// The grow helpers resize scratch slices while reusing capacity; growing
-// the query arena preserves existing entries so their key buffers keep
-// amortizing.
-func growFloat64s(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBenchIDs(s []simdb.BenchID, n int) []simdb.BenchID {
-	if cap(s) < n {
-		return make([]simdb.BenchID, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growResults(s []decideResult, n int) []decideResult {
-	if cap(s) < n {
-		return make([]decideResult, n)
-	}
-	return s[:n]
-}
-
-func growQueryPtrs(s []*decideQuery, n int) []*decideQuery {
-	if cap(s) < n {
-		return make([]*decideQuery, n)
-	}
-	return s[:n]
-}
-
-func growQueries(s []decideQuery, n int) []decideQuery {
-	if cap(s) < n {
-		ns := make([]decideQuery, n)
-		copy(ns, s[:cap(s)])
-		return ns
-	}
-	return s[:n]
 }

@@ -1,6 +1,7 @@
 package simdb
 
 import (
+	"strings"
 	"testing"
 
 	"qosrma/internal/arch"
@@ -113,9 +114,19 @@ func TestBenchInterning(t *testing.T) {
 		if db.BenchName(id) != bd.Name {
 			t.Fatalf("BenchName(%d) = %s", id, db.BenchName(id))
 		}
+		if bid, ok := db.BenchIDOfBytes([]byte(bd.Name)); !ok || bid != id {
+			t.Fatalf("BenchIDOfBytes(%s) = %d, %t; want %d", bd.Name, bid, ok, id)
+		}
 	}
 	if _, ok := db.BenchIDOf("nosuch"); ok {
 		t.Fatal("unknown name interned")
+	}
+	long := []byte(strings.Repeat("x", 100))
+	if _, ok := db.BenchIDOfBytes(long); ok {
+		t.Fatal("unknown name interned")
+	}
+	if got := testing.AllocsPerRun(100, func() { db.BenchIDOfBytes(long) }); got != 0 {
+		t.Fatalf("BenchIDOfBytes allocated %.0f times for a 100-byte name, want 0", got)
 	}
 	if db.NumBenches() != len(db.Benches) {
 		t.Fatal("NumBenches mismatch")

@@ -473,6 +473,13 @@ func (db *DB) BenchIDOf(name string) (BenchID, bool) {
 	return id, ok
 }
 
+// BenchIDOfBytes is BenchIDOf for a name held in a byte slice, such as a
+// request buffer; the lookup does not allocate, whatever the name's length.
+func (db *DB) BenchIDOfBytes(name []byte) (BenchID, bool) {
+	id, ok := db.byName[string(name)]
+	return id, ok
+}
+
 // NumBenches returns the number of interned benchmarks.
 func (db *DB) NumBenches() int { return len(db.Benches) }
 
