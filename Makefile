@@ -135,12 +135,15 @@ chaos:
 # unmemoized reference solver, the scorer's payoff memo against fresh
 # scorers (serial and concurrent), and the resource manager's curve table
 # and allocation memo against unkeyed twins (every scheme, both models,
-# oracle and realistic statistics, through vacancies and table resets).
+# oracle and realistic statistics, through vacancies and table resets),
+# and the routing tier's streamed key hash against the rendered key and
+# its pre-streaming reference on both codecs (placement is part of the
+# contract).
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey' \
-		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash' \
+		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim ./internal/route
 
 # Golden-table regression: regenerate the committed paper tables (via
 # System.Sweep) and the small-fleet placement comparison, and fail on any
@@ -152,7 +155,7 @@ golden:
 # fuzzing time), so corpus regressions fail fast in CI; `go test -fuzz`
 # explores further locally.
 fuzz-smoke:
-	$(GO) test -count=1 -run 'Fuzz' ./internal/simdb ./internal/service ./internal/cache ./internal/core ./internal/wire
+	$(GO) test -count=1 -run 'Fuzz' ./internal/simdb ./internal/service ./internal/cache ./internal/core ./internal/wire ./internal/route
 
 # Docs consistency wall: every relative link in README.md and docs/
 # resolves, and the server's registered route table matches docs/api.md

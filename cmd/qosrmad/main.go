@@ -40,11 +40,10 @@
 //	                   everything else to a rotating replica — with
 //	                   bounded retries, per-replica circuit breakers and
 //	                   active health probing (-route-retries,
-//	                   -route-timeout, -route-probe-interval,
-//	                   -route-hedge-after). Replicas may declare a wire
-//	                   address ("a:7743|a:7744"); combined with
-//	                   -wire-addr the tier then proxies the binary
-//	                   decide protocol too, with the same failover
+//	                   -route-timeout, -route-probe-interval). Replicas
+//	                   may declare a wire address ("a:7743|a:7744");
+//	                   combined with -wire-addr the tier then proxies the
+//	                   binary decide protocol too, with the same failover
 //	                   semantics over per-backend connection pools
 //
 // Usage:
@@ -82,7 +81,6 @@ func main() {
 		routeRetries = flag.Int("route-retries", 2, "routing-tier extra attempts for idempotent requests (negative disables)")
 		routeTimeout = flag.Duration("route-timeout", 2*time.Second, "routing-tier per-attempt deadline (negative disables)")
 		routeProbe   = flag.Duration("route-probe-interval", 2*time.Second, "routing-tier health-probe period (0 disables active probing)")
-		routeHedge   = flag.Duration("route-hedge-after", 0, "routing-tier decide hedging delay (0 disables hedged requests)")
 		routeSeed    = flag.Uint64("route-seed", 1, "routing-tier backoff-jitter seed")
 		maxInflight  = flag.Int("max-inflight", 0, "decide/score load-shed gate (0 = default 1024, negative disables)")
 		cores        = flag.Int("cores", 4, "cores per machine (when building the database)")
@@ -105,7 +103,6 @@ func main() {
 			retries:       *routeRetries,
 			timeout:       *routeTimeout,
 			probeInterval: *routeProbe,
-			hedgeAfter:    *routeHedge,
 			seed:          *routeSeed,
 			drainTimeout:  *drainTimeout,
 		})
@@ -212,7 +209,6 @@ type routerConfig struct {
 	retries       int
 	timeout       time.Duration
 	probeInterval time.Duration
-	hedgeAfter    time.Duration
 	seed          uint64
 	drainTimeout  time.Duration
 }
@@ -237,7 +233,6 @@ func runRouter(cfg routerConfig) {
 	proxy := route.NewProxyWithOptions(ring, nil, route.Options{
 		AttemptTimeout: cfg.timeout,
 		Retries:        cfg.retries,
-		HedgeAfter:     cfg.hedgeAfter,
 		ProbeInterval:  cfg.probeInterval,
 		Seed:           cfg.seed,
 	})

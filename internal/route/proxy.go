@@ -7,9 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +32,11 @@ import (
 // deadline, bounded retries with jittered exponential backoff (only for
 // idempotent requests — GET/HEAD and the pure-compute decide/score
 // POSTs; sweeps and admin mutations get exactly one attempt), a circuit
-// breaker per replica, optional active health probing that ejects dead
-// replicas from rotation, and optional hedged decide requests. When
-// every replica of a group is out, its keys spill to the next available
-// group on the ring — correct because the whole fleet serves one
-// database — and return the moment the owner heals.
+// breaker per replica, and optional active health probing that ejects
+// dead replicas from rotation. When every replica of a group is out, its
+// keys spill to the next available group on the ring — correct because
+// the whole fleet serves one database — and return the moment the owner
+// heals.
 //
 // Two endpoints are answered locally instead of forwarded: /v1/healthz
 // reports the proxy's own deep health (a group with zero available
@@ -49,6 +49,7 @@ type Proxy struct {
 
 	replicas []replica
 	groups   [][]int // group index → indices into replicas
+	all      []int   // every replica index, for whole-request forwards
 	rr       []atomic.Uint32
 	ar       atomic.Uint32 // any-replica rotation (whole-request forwards)
 
@@ -63,7 +64,6 @@ type Proxy struct {
 
 	retried  *ops.Counter // retry attempts after a failure
 	attempts *ops.Counter // attempt failures (transport, truncation, 5xx)
-	hedges   *ops.Counter // hedged decide requests launched
 	spills   *ops.Counter // decide queries routed off-owner (group down)
 	breakTo  map[resilience.BreakerState]*ops.Counter
 
@@ -95,10 +95,6 @@ type Options struct {
 	Backoff resilience.Backoff
 	// Breaker configures every replica's circuit breaker.
 	Breaker resilience.BreakerOptions
-	// HedgeAfter, when positive, launches a second decide forward if the
-	// first has not answered within the duration; first answer wins
-	// (default 0 = off).
-	HedgeAfter time.Duration
 	// ProbeInterval, when positive, enables active health probing of
 	// every replica's /v1/healthz at the interval (default 0 = off;
 	// passive breaker-based isolation still applies).
@@ -131,7 +127,7 @@ func (o Options) retries() int {
 }
 
 // NewProxy builds a proxy with default resilience options (retries on,
-// probing and hedging off). client nil selects a transport sized for
+// probing off). client nil selects a transport sized for
 // backend connection reuse.
 func NewProxy(ring *Ring, client *http.Client) *Proxy {
 	return NewProxyWithOptions(ring, client, Options{})
@@ -159,14 +155,6 @@ func NewProxyWithOptions(ring *Ring, client *http.Client, opt Options) *Proxy {
 	for g, b := range ring.Backends() {
 		for i, addr := range b.Addrs {
 			ri := len(p.replicas)
-			bopt := opt.Breaker
-			prev := bopt.OnStateChange
-			bopt.OnStateChange = func(from, to resilience.BreakerState) {
-				p.breakTo[to].Inc()
-				if prev != nil {
-					prev(from, to)
-				}
-			}
 			var wireAddr string
 			if len(b.WireAddrs) > i {
 				wireAddr = b.WireAddrs[i]
@@ -175,9 +163,10 @@ func NewProxyWithOptions(ring *Ring, client *http.Client, opt Options) *Proxy {
 				group:    g,
 				addr:     addr,
 				wireAddr: wireAddr,
-				breaker:  resilience.NewBreaker(bopt),
+				breaker:  p.newBreaker(),
 			})
 			p.groups[g] = append(p.groups[g], ri)
+			p.all = append(p.all, ri)
 		}
 	}
 	if opt.ProbeInterval > 0 {
@@ -227,8 +216,6 @@ func (p *Proxy) initMetrics() {
 		"Forward attempts retried after a failure.", "")
 	p.attempts = p.reg.Counter("qosrmad_route_attempt_failures_total",
 		"Individual forward attempts that failed (transport error, truncated body, or 5xx).", "")
-	p.hedges = p.reg.Counter("qosrmad_route_hedges_total",
-		"Hedged decide forwards launched.", "")
 	p.spills = p.reg.Counter("qosrmad_route_spills_total",
 		"Decide forwards served off-owner because the owning group had no available replica.", "")
 	p.breakTo = map[resilience.BreakerState]*ops.Counter{}
@@ -245,6 +232,19 @@ func (p *Proxy) initMetrics() {
 	p.reg.CounterFunc("qosrmad_route_probe_readmissions_total",
 		"Ejected replicas readmitted to rotation by the health prober.", "",
 		func() float64 { _, r := p.proberStats(); return float64(r) })
+}
+
+// newBreaker builds a replica breaker that also counts its transitions.
+func (p *Proxy) newBreaker() *resilience.Breaker {
+	bopt := p.opt.Breaker
+	prev := bopt.OnStateChange
+	bopt.OnStateChange = func(from, to resilience.BreakerState) {
+		p.breakTo[to].Inc()
+		if prev != nil {
+			prev(from, to)
+		}
+	}
+	return resilience.NewBreaker(bopt)
 }
 
 // registerReplicaMetrics runs after the replica slice is final.
@@ -356,55 +356,92 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // tier needs: equal queries land on equal groups, so each backend's
 // decision LRU sees a stable partition of the key space.
 func RoutingKey(dst []byte, q *service.DecideQuery) []byte {
-	dst = append(dst, strings.ToLower(q.Scheme)...)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(q.Model), 10)
-	dst = append(dst, '/')
-	switch {
-	case len(q.Slacks) > 0:
-		for i, v := range q.Slacks {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-		}
-	case q.Slack != 0:
-		dst = strconv.AppendFloat(dst, q.Slack, 'g', -1, 64)
-	}
+	dst = appendKeyPrefix(dst, q.Scheme, q.Model, q.Slack, q.Slacks)
 	for _, app := range q.Apps {
-		dst = append(dst, '|')
-		dst = append(dst, app.Bench...)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(app.Phase), 10)
+		dst = appendKeyApp(dst, app.Bench, app.Phase)
 	}
 	return dst
 }
 
-// groupPicker returns the health-aware owner function for one request:
-// availability is snapshotted once so every query in the batch sees a
-// consistent fleet view. In the healthy fleet it is exactly Ring.Pick.
-func (p *Proxy) groupPicker() func(key []byte) int {
-	ng := len(p.groups)
-	if ng == 1 {
-		return func([]byte) int { return 0 }
-	}
-	avail := make([]bool, ng)
-	allUp := true
-	for g := range avail {
-		avail[g] = p.groupAvailable(g)
-		allUp = allUp && avail[g]
-	}
-	if allUp {
-		return p.ring.Pick
-	}
-	return func(key []byte) int {
-		owner := p.ring.PickHash(Hash(key))
-		g := p.ring.PickAvailableHash(Hash(key), func(g int) bool { return avail[g] })
-		if g != owner {
-			p.spills.Inc()
+// queryHashes appends Hash(RoutingKey(q)) of every query q to hs, hashing
+// a prefix only when a query's configuration differs bitwise from the
+// previous query's (so slacks 0 and -0 never share one).
+func queryHashes(hs []uint64, queries []service.DecideQuery) []uint64 {
+	var key []byte
+	var prefix uint64
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range queries {
+		q := &queries[i]
+		if i == 0 || q.Scheme != queries[i-1].Scheme || q.Model != queries[i-1].Model ||
+			!sameBits(q.Slack, queries[i-1].Slack) || !slices.EqualFunc(q.Slacks, queries[i-1].Slacks, sameBits) {
+			key = appendKeyPrefix(key[:0], q.Scheme, q.Model, q.Slack, q.Slacks)
+			prefix = Hash(key)
 		}
-		return g
+		h := prefix
+		for _, app := range q.Apps {
+			h = hashKeyApp(h, app.Bench, app.Phase)
+		}
+		hs = append(hs, h)
 	}
+	return hs
+}
+
+// picker maps routing-key hashes to owning groups over one snapshot of
+// group availability, so every query in a batch sees one fleet view.
+// avail is nil when every group is up: pick is then Ring.PickHash.
+type picker struct {
+	p     *Proxy
+	avail []bool
+}
+
+// groupPicker returns a picker; it allocates only when a group is down.
+func (p *Proxy) groupPicker() picker {
+	for g := range p.groups {
+		if !p.groupAvailable(g) {
+			avail := make([]bool, len(p.groups))
+			for g := range avail {
+				avail[g] = p.groupAvailable(g)
+			}
+			return picker{p: p, avail: avail}
+		}
+	}
+	return picker{p: p}
+}
+
+// pick returns the available group owning hash h (see PickAvailableHash).
+//
+//qosrma:noalloc
+func (pk picker) pick(h uint64) int {
+	owner := pk.p.ring.PickHash(h)
+	if pk.avail == nil || pk.avail[owner] {
+		return owner
+	}
+	g := pk.p.ring.PickAvailableHash(h, pk.available)
+	if g != owner {
+		pk.p.spills.Inc()
+	}
+	return g
+}
+
+func (pk picker) available(g int) bool { return pk.avail[g] }
+
+// assign appends each query's index to its owning group's list, given
+// the queries' routing-key hashes. It returns the first query's group
+// and whether any query is owned by another.
+//
+//qosrma:noalloc
+func (pk picker) assign(groups [][]int, hashes []uint64) (first int, split bool) {
+	first = -1
+	for qi, h := range hashes {
+		g := pk.pick(h)
+		groups[g] = append(groups[g], qi)
+		if first == -1 {
+			first = g
+		} else if g != first {
+			split = true
+		}
+	}
+	return first, split
 }
 
 // serveDecide splits a decide request by owning group and merges the
@@ -428,27 +465,14 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 		queries = []service.DecideQuery{req.DecideQuery}
 	}
 
-	pick := p.groupPicker()
-	groups := make([][]int, len(p.ring.Backends()))
-	var key []byte
-	distinct := -1
-	split := false
-	for i := range queries {
-		key = RoutingKey(key[:0], &queries[i])
-		g := pick(key)
-		groups[g] = append(groups[g], i)
-		if distinct == -1 {
-			distinct = g
-		} else if g != distinct {
-			split = true
-		}
-	}
+	groups := make([][]int, len(p.groups))
+	distinct, split := p.groupPicker().assign(groups, queryHashes(make([]uint64, 0, len(queries)), queries))
 
 	if !split {
 		// One owning group: forward the original body untouched so the
 		// backend sees exactly what the client sent (single/batch shape
 		// included).
-		resp, err := p.forwardDecide(r.Context(), distinct, body)
+		resp, err := p.forward(r.Context(), distinct, http.MethodPost, "/v1/decide", "application/json", body, true)
 		if err != nil {
 			p.writeForwardError(w, err)
 			return
@@ -489,7 +513,7 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 				gr.err = err
 				return
 			}
-			back, err := p.forwardDecide(r.Context(), gr.g, b)
+			back, err := p.forward(r.Context(), gr.g, http.MethodPost, "/v1/decide", "application/json", b, true)
 			if err != nil {
 				gr.err = err
 				return
@@ -608,21 +632,17 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 // group has none. g < 0 means any group.
 func (p *Proxy) pickReplica(g, skip int) int {
 	if g < 0 {
-		n := len(p.replicas)
-		start := int(p.ar.Add(1))
-		for k := 0; k < n; k++ {
-			ri := (start + k) % n
-			if ri != skip && p.admit(ri) {
-				return ri
-			}
-		}
-		return -1
+		return rotate(p.all, &p.ar, skip, p.admit)
 	}
-	idxs := p.groups[g]
-	start := int(p.rr[g].Add(1))
-	for k := 0; k < len(idxs); k++ {
-		ri := idxs[(start+k)%len(idxs)]
-		if ri != skip && p.admit(ri) {
+	return rotate(p.groups[g], &p.rr[g], skip, p.admit)
+}
+
+// rotate returns the first replica of idxs from ctr's next rotation step
+// on that is not skip and that admit accepts, or -1.
+func rotate(idxs []int, ctr *atomic.Uint32, skip int, admit func(ri int) bool) int {
+	start := int(ctr.Add(1))
+	for k := range idxs {
+		if ri := idxs[(start+k)%len(idxs)]; ri != skip && admit(ri) {
 			return ri
 		}
 	}
@@ -695,56 +715,6 @@ func (p *Proxy) forward(ctx context.Context, g int, method, uri, contentType str
 		lastErr = errNoReplica
 	}
 	return nil, lastErr
-}
-
-// forwardDecide forwards one decide body to group g, hedging with a
-// second concurrent forward when the first exceeds HedgeAfter. Decide is
-// idempotent and answer-deterministic, so whichever forward wins is the
-// canonical answer.
-func (p *Proxy) forwardDecide(ctx context.Context, g int, body []byte) (*backendResponse, error) {
-	if p.opt.HedgeAfter <= 0 {
-		return p.forward(ctx, g, http.MethodPost, "/v1/decide", "application/json", body, true)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type out struct {
-		resp *backendResponse
-		err  error
-	}
-	ch := make(chan out, 2)
-	launch := func() {
-		go func() {
-			resp, err := p.forward(cctx, g, http.MethodPost, "/v1/decide", "application/json", body, true)
-			ch <- out{resp, err}
-		}()
-	}
-	launch()
-	inflight, hedged := 1, false
-	timer := time.NewTimer(p.opt.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			inflight--
-			if o.err == nil {
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				p.hedges.Inc()
-				launch()
-				inflight++
-			}
-		}
-	}
 }
 
 // forwardWhole proxies any non-decide request to a rotating replica

@@ -98,13 +98,7 @@ func (r *Ring) Backends() []Backend { return r.backends }
 func (r *Ring) Pick(key []byte) int { return r.PickHash(Hash(key)) }
 
 // PickHash is Pick for a pre-computed key hash.
-func (r *Ring) PickHash(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: the ring is circular
-	}
-	return r.points[i].idx
-}
+func (r *Ring) PickHash(h uint64) int { return r.points[r.owner(h)].idx }
 
 // PickAvailableHash walks clockwise from the key's owning virtual node to
 // the first group avail reports true for. With every group available it
@@ -115,10 +109,7 @@ func (r *Ring) PickHash(h uint64) int {
 // heals. If no group is available the true owner is returned and the
 // forward fails there.
 func (r *Ring) PickAvailableHash(h uint64, avail func(group int) bool) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	if i == len(r.points) {
-		i = 0
-	}
+	i := r.owner(h)
 	for k := 0; k < len(r.points); k++ {
 		idx := r.points[(i+k)%len(r.points)].idx
 		if avail(idx) {
@@ -128,19 +119,70 @@ func (r *Ring) PickAvailableHash(h uint64, avail func(group int) bool) int {
 	return r.points[i].idx
 }
 
+// owner returns the index of the first virtual node clockwise of h (the
+// ring is circular: past the last point it wraps to the first).
+func (r *Ring) owner(h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
+	if i == len(r.points) {
+		return 0
+	}
+	return i
+}
+
 // Hash is the routing hash: 64-bit FNV-1a, the same function the service
 // uses to spread canonical keys over its internal shards.
-func Hash(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
+func Hash(key []byte) uint64 { return hashOn(14695981039346656037, key) }
+
+// hashOn continues FNV-1a state h over b: hashOn(Hash(a), b) == Hash(a+b).
+//
+//qosrma:noalloc
+func hashOn(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
 	}
 	return h
+}
+
+// appendKeyPrefix and appendKeyApp are the one definition of the
+// canonical routing key: a configuration prefix, "scheme/model/slack"
+// (the scheme lowercased; the per-core slack vector when given, else the
+// uniform slack unless it is zero), then one "|name:phase" part per app.
+// The proxies hash a prefix once per configuration and continue the hash
+// over each app with hashKeyApp, so they never render a whole key.
+func appendKeyPrefix(dst []byte, scheme string, model int, slack float64, slacks []float64) []byte {
+	dst = append(dst, strings.ToLower(scheme)...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(model), 10)
+	dst = append(dst, '/')
+	switch {
+	case len(slacks) > 0:
+		for i, v := range slacks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+		}
+	case slack != 0:
+		dst = strconv.AppendFloat(dst, slack, 'g', -1, 64)
+	}
+	return dst
+}
+
+// appendKeyApp appends one app's key part, "|name:phase".
+func appendKeyApp(dst []byte, name string, phase int) []byte {
+	dst = append(dst, '|')
+	dst = append(dst, name...)
+	dst = append(dst, ':')
+	return strconv.AppendInt(dst, int64(phase), 10)
+}
+
+// hashKeyApp continues a key hash over one app's part, rendered on the
+// stack (a name longer than the buffer allocates).
+//
+//qosrma:noalloc
+func hashKeyApp(h uint64, name string, phase int) uint64 {
+	var part [64]byte
+	return hashOn(h, appendKeyApp(part[:0], name, phase))
 }
 
 // ParseGroups parses the -route flag syntax: groups separated by ';',

@@ -41,9 +41,8 @@ type WireProxy struct {
 	rr      []atomic.Uint32
 	ar      atomic.Uint32
 
-	metaMu  sync.Mutex
-	metaRaw []byte            // cached complete Meta frame (header+payload)
-	benches map[uint16]string // interned bench ID → name, from Meta
+	metaMu sync.Mutex // serializes the Meta fetch
+	meta   atomic.Pointer[wireMeta]
 
 	requests atomic.Uint64
 	splits   atomic.Uint64
@@ -69,6 +68,42 @@ type wirePool struct {
 	idle []*wireConn
 }
 
+// wireMeta is the first Meta frame a backend answered, published once
+// and immutable after. names is indexed by interned bench ID: the Meta
+// name, or "#id" for an ID the table does not list.
+type wireMeta struct {
+	raw   []byte // complete frame (header+payload)
+	names []string
+}
+
+// newWireMeta parses a Meta payload into its published form.
+func newWireMeta(payload []byte) (*wireMeta, error) {
+	var parsed wire.Meta
+	if err := wire.ParseMeta(payload, &parsed); err != nil {
+		return nil, err
+	}
+	meta := &wireMeta{raw: append(wire.AppendHeader(nil, wire.TypeMeta, len(payload)), payload...)}
+	for _, b := range parsed.Benches {
+		for len(meta.names) <= int(b.ID) {
+			meta.names = append(meta.names, unknownBench(uint16(len(meta.names))))
+		}
+		meta.names[b.ID] = b.Name
+	}
+	return meta, nil
+}
+
+// benchName returns the routing-key name of bench id: its Meta name, or
+// "#id" before Meta has arrived (placement is then deterministic but
+// not aligned with the JSON path's).
+func (m *wireMeta) benchName(id uint16) string {
+	if m != nil && int(id) < len(m.names) {
+		return m.names[id]
+	}
+	return unknownBench(id)
+}
+
+func unknownBench(id uint16) string { return "#" + strconv.Itoa(int(id)) }
+
 // defaultWireTimeout floors every wire-connection deadline when the
 // operator disabled the per-attempt timeout: raw conn I/O has no
 // context to fall back on and must never be unbounded.
@@ -91,7 +126,6 @@ func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
 		pools:   make([]*wirePool, len(p.replicas)),
 		byGroup: make([][]int, len(p.groups)),
 		rr:      make([]atomic.Uint32, len(p.groups)),
-		benches: make(map[uint16]string),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	for ri := range p.replicas {
@@ -99,15 +133,7 @@ func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
 		if rep.wireAddr == "" {
 			continue
 		}
-		bopt := p.opt.Breaker
-		prev := bopt.OnStateChange
-		bopt.OnStateChange = func(from, to resilience.BreakerState) {
-			p.breakTo[to].Inc()
-			if prev != nil {
-				prev(from, to)
-			}
-		}
-		wp.pools[ri] = &wirePool{addr: rep.wireAddr, breaker: resilience.NewBreaker(bopt)}
+		wp.pools[ri] = &wirePool{addr: rep.wireAddr, breaker: p.newBreaker()}
 		wp.byGroup[rep.group] = append(wp.byGroup[rep.group], ri)
 		wp.all = append(wp.all, ri)
 	}
@@ -196,11 +222,11 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 	defer c.Close()
 	r := wire.NewReader(c)
 	var (
-		req   wire.DecideRequest
-		out   []byte
-		errB  []byte
-		merge mergeState
+		req  wire.DecideRequest
+		out  []byte
+		errB []byte
 	)
+	merge := mergeState{groups: make([][]int, len(wp.p.groups))}
 	for {
 		typ, payload, err := r.Next()
 		// Bound every write this iteration makes: a client that stops
@@ -234,7 +260,7 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 				}
 				continue
 			}
-			if _, err := c.Write(meta); err != nil {
+			if _, err := c.Write(meta.raw); err != nil {
 				return
 			}
 		case wire.TypeDecideRequest:
@@ -262,8 +288,9 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 
 // mergeState is per-connection scratch for split decide merging.
 type mergeState struct {
-	key      []byte
-	groups   [][]int
+	hashes   []uint64
+	prefix   []byte
+	groups   [][]int // one query-index list per backend group
 	sub      wire.DecideRequest
 	subFrame []byte
 	respBuf  []byte
@@ -279,30 +306,7 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 	count := req.Count()
 	n := int(req.NCores)
 
-	// Benchmark names for the canonical routing key come from Meta; if no
-	// backend has answered one yet the interned IDs stand in (placement
-	// is still deterministic, just not aligned with the JSON path's).
-	wp.ensureMeta() //nolint:errcheck // fallback rendering below
-
-	if m.groups == nil || len(m.groups) != len(wp.p.groups) {
-		m.groups = make([][]int, len(wp.p.groups))
-	}
-	for g := range m.groups {
-		m.groups[g] = m.groups[g][:0]
-	}
-	pick := wp.p.groupPicker()
-	distinct, split := -1, false
-	for qi := 0; qi < count; qi++ {
-		m.key = wp.routingKey(m.key[:0], req, qi)
-		g := pick(m.key)
-		m.groups[g] = append(m.groups[g], qi)
-		if distinct == -1 {
-			distinct = g
-		} else if g != distinct {
-			split = true
-		}
-	}
-
+	distinct, split := wp.place(m, req)
 	if !split {
 		// One owning group: forward the original frame bytes untouched.
 		m.subFrame = wire.AppendHeader(m.subFrame[:0], wire.TypeDecideRequest, len(payload))
@@ -377,6 +381,20 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 	})
 }
 
+// place assigns every query of req to its owning group's list in
+// m.groups and returns what picker.assign returns.
+//
+//qosrma:noalloc
+func (wp *WireProxy) place(m *mergeState, req *wire.DecideRequest) (int, bool) {
+	// Benchmark names for the canonical routing key come from Meta.
+	meta, _ := wp.ensureMeta() //nolint:errcheck // "#id" names stand in
+	m.hashes, m.prefix = wireKeyHashes(m.hashes[:0], m.prefix[:0], req, meta)
+	for g := range m.groups {
+		m.groups[g] = m.groups[g][:0]
+	}
+	return wp.p.groupPicker().assign(m.groups, m.hashes)
+}
+
 // relay appends a backend frame (response or error) for the client,
 // rebuilding the header around the payload bytes.
 func (wp *WireProxy) relay(dst []byte, seq uint32, typ byte, payload []byte) []byte {
@@ -386,17 +404,6 @@ func (wp *WireProxy) relay(dst []byte, seq uint32, typ byte, payload []byte) []b
 	}
 	dst = wire.AppendHeader(dst, typ, len(payload))
 	return append(dst, payload...)
-}
-
-// errFrame reports a backend Error frame treated as an attempt failure
-// (code Unavailable: the replica is draining or closed).
-type errFrame struct {
-	code wire.ErrCode
-	msg  string
-}
-
-func (e *errFrame) Error() string {
-	return fmt.Sprintf("backend error frame code %d: %s", e.code, e.msg)
 }
 
 // forward runs the retry loop for one request frame against group g,
@@ -425,8 +432,10 @@ func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (byte, []byte,
 		pool := wp.pools[ri]
 		typ, resp, err := pool.roundTrip(wp.dials, wp.p.opt.attemptTimeout(), frame, respBuf)
 		if err == nil && typ == wire.TypeError {
+			// Code Unavailable: the replica is draining or closed, an
+			// attempt failure like any other.
 			if _, code, msg, perr := wire.ParseError(resp); perr == nil && code == wire.ErrCodeUnavailable {
-				err = &errFrame{code: code, msg: msg}
+				err = fmt.Errorf("backend error frame code %d: %s", code, msg)
 			}
 		}
 		if err != nil {
@@ -448,39 +457,28 @@ func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (byte, []byte,
 // pick selects the next admitted wire-capable replica of group g
 // (rotating), skipping skip; g < 0 means any group.
 func (wp *WireProxy) pick(g, skip int) int {
-	idxs := wp.all
-	var ctr *atomic.Uint32
-	if g >= 0 {
-		idxs = wp.byGroup[g]
-		ctr = &wp.rr[g]
-	} else {
-		ctr = &wp.ar
+	if g < 0 {
+		return rotate(wp.all, &wp.ar, skip, wp.admit)
 	}
-	if len(idxs) == 0 {
-		return -1
-	}
-	start := int(ctr.Add(1))
-	for k := 0; k < len(idxs); k++ {
-		ri := idxs[(start+k)%len(idxs)]
-		if ri == skip || !wp.p.replicaHealthy(ri) {
-			continue
-		}
-		if !wp.pools[ri].breaker.Allow() {
-			continue
-		}
-		return ri
-	}
-	return -1
+	return rotate(wp.byGroup[g], &wp.rr[g], skip, wp.admit)
 }
 
-// ensureMeta returns the cached complete Meta frame, fetching it from
-// the first wire replica that answers a Hello when not yet cached. The
-// benchmark table it carries also feeds the canonical routing key.
-func (wp *WireProxy) ensureMeta() ([]byte, error) {
+// admit is Proxy.admit against the replica's wire breaker.
+func (wp *WireProxy) admit(ri int) bool {
+	return wp.p.replicaHealthy(ri) && wp.pools[ri].breaker.Allow()
+}
+
+// ensureMeta returns the published Meta, fetching it from the first wire
+// replica that answers a Hello when none is published yet. The benchmark
+// table it carries also feeds the canonical routing key.
+func (wp *WireProxy) ensureMeta() (*wireMeta, error) {
+	if meta := wp.meta.Load(); meta != nil {
+		return meta, nil
+	}
 	wp.metaMu.Lock()
 	defer wp.metaMu.Unlock()
-	if wp.metaRaw != nil {
-		return wp.metaRaw, nil
+	if meta := wp.meta.Load(); meta != nil {
+		return meta, nil
 	}
 	hello := wire.AppendHello(nil)
 	var lastErr error
@@ -499,17 +497,13 @@ func (wp *WireProxy) ensureMeta() ([]byte, error) {
 			continue
 		}
 		pool.breaker.Success()
-		var meta wire.Meta
-		if err := wire.ParseMeta(resp, &meta); err != nil {
+		meta, err := newWireMeta(resp)
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		for _, b := range meta.Benches {
-			wp.benches[b.ID] = b.Name
-		}
-		wp.metaRaw = wire.AppendHeader(nil, wire.TypeMeta, len(resp))
-		wp.metaRaw = append(wp.metaRaw, resp...)
-		return wp.metaRaw, nil
+		wp.meta.Store(meta)
+		return meta, nil
 	}
 	if lastErr == nil {
 		lastErr = errNoReplica
@@ -521,44 +515,37 @@ func (wp *WireProxy) ensureMeta() ([]byte, error) {
 // names the JSON path routes by, keeping both codecs' placement aligned.
 var wireSchemeNames = [...]string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"}
 
-// routingKey renders query qi of req in the same canonical form as
-// RoutingKey renders a JSON query, so a key decided over HTTP and the
-// same key decided over the wire land on the same backend LRU.
-func (wp *WireProxy) routingKey(dst []byte, req *wire.DecideRequest, qi int) []byte {
+// wireKeyHashes appends Hash(RoutingKey(q)) for the JSON form q of each
+// query of req to hs, rendering the batch prefix into prefix once.
+//
+//qosrma:noalloc
+func wireKeyHashes(hs []uint64, prefix []byte, req *wire.DecideRequest, meta *wireMeta) ([]uint64, []byte) {
+	var (
+		scheme string
+		slack  float64
+		slacks []float64
+	)
 	if int(req.Scheme) < len(wireSchemeNames) {
-		dst = append(dst, wireSchemeNames[req.Scheme]...)
+		scheme = wireSchemeNames[req.Scheme]
 	} else {
-		dst = strconv.AppendInt(dst, int64(req.Scheme), 10)
+		scheme = strconv.Itoa(int(req.Scheme))
 	}
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(req.Model), 10)
-	dst = append(dst, '/')
 	switch {
 	case req.Flags&wire.FlagSlackPerCore != 0:
-		for i, v := range req.Slacks {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-		}
-	case req.Flags&wire.FlagSlackUniform != 0 && req.Slack != 0:
-		dst = strconv.AppendFloat(dst, req.Slack, 'g', -1, 64)
+		slacks = req.Slacks
+	case req.Flags&wire.FlagSlackUniform != 0:
+		slack = req.Slack
 	}
-	n := int(req.NCores)
-	wp.metaMu.Lock()
-	for _, a := range req.Apps[qi*n : (qi+1)*n] {
-		dst = append(dst, '|')
-		if name, ok := wp.benches[a.Bench]; ok {
-			dst = append(dst, name...)
-		} else {
-			dst = append(dst, '#')
-			dst = strconv.AppendInt(dst, int64(a.Bench), 10)
+	prefix = appendKeyPrefix(prefix, scheme, int(req.Model), slack, slacks)
+	h0, n := Hash(prefix), int(req.NCores)
+	for qi := 0; qi < req.Count(); qi++ {
+		h := h0
+		for _, a := range req.Apps[qi*n : (qi+1)*n] {
+			h = hashKeyApp(h, meta.benchName(a.Bench), int(a.Phase))
 		}
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(a.Phase), 10)
+		hs = append(hs, h)
 	}
-	wp.metaMu.Unlock()
-	return dst
+	return hs, prefix
 }
 
 // get pops an idle connection or dials a fresh one.
@@ -628,7 +615,8 @@ func (pool *wirePool) roundTrip(dials *ops.Counter, timeout time.Duration, frame
 		return 0, respBuf, fmt.Errorf("replica %s: %w", pool.addr, err)
 	}
 	respBuf = append(respBuf, payload...)
-	wc.c.SetDeadline(time.Time{}) //nolint:errcheck // net.TCPConn deadlines cannot fail
+	// The deadline stays set: every use of a pooled connection sets its
+	// own before it writes, and nothing reads an idle one.
 	pool.put(wc)
 	return typ, respBuf, nil
 }

@@ -417,13 +417,22 @@ func newManager(sn *snapshot, q *decideQuery) *core.Manager {
 	})
 }
 
+// managerLimit bounds the managers one shard keeps. Clients choose the
+// slack freely, so the configurations a shard sees are unbounded.
+const managerLimit = 64
+
 // manager returns the shard's manager for the configuration, building it
 // on first use. Managers are retained: their curve tables, allocation
 // memos and per-core buffers are the shard-local reuse that keeps
-// repeated decisions allocation-free.
+// repeated decisions allocation-free. A full pool is emptied, as core's
+// memo bound does; answers never depend on reuse (the service builds no
+// feedback managers), so a rebuilt manager answers as its predecessor.
 func (sh *shard) manager(q *decideQuery) *core.Manager {
 	m, ok := sh.mgrs[q.cfg]
 	if !ok {
+		if len(sh.mgrs) == managerLimit {
+			clear(sh.mgrs)
+		}
 		m = newManager(sh.sn, q)
 		sh.mgrs[q.cfg] = m
 	}

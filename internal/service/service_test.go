@@ -168,6 +168,50 @@ func TestDecideMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestShardManagersBounded: clients choose the slack freely, so a shard
+// that meets 10× managerLimit distinct slacks keeps at most managerLimit
+// managers, and every answer equals a fresh library manager's — also on
+// a second lap, whose managers were emptied out and rebuilt.
+func TestShardManagersBounded(t *testing.T) {
+	srv, sh, _ := testShardQuery(t)
+	db := testDB(t)
+	sn := srv.snap.Load()
+	rng := stats.NewRNG(stats.SeedFrom(11, "service/manager-bound"))
+	distinct, decided := 10*managerLimit, 0
+	for i := 0; i < distinct+managerLimit; i++ {
+		s := float64(1+i%distinct) / 1000
+		dq := queryFor(db, rng, "rm2", s)
+		q, err := resolveQueryRef(sn, &dq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sh.compute(q)
+		if len(sh.mgrs) > managerLimit {
+			t.Fatalf("query %d: shard holds %d managers, bound %d", i, len(sh.mgrs), managerLimit)
+		}
+		slack := make([]float64, db.Sys.NumCores)
+		for c := range slack {
+			slack[c] = s
+		}
+		wantOK, want := libraryDecide(db, core.SchemeCoordDVFSCache, core.Model2, slack, dq.Apps)
+		if got.decided != wantOK {
+			t.Fatalf("query %d (slack %g): decided=%v, library says %v", i, s, got.decided, wantOK)
+		}
+		if !wantOK {
+			continue
+		}
+		decided++
+		for c := range want {
+			if got.settings[c] != want[c] {
+				t.Fatalf("query %d (slack %g) core %d: served %v, library %v", i, s, c, got.settings[c], want[c])
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no query was decided: the settings were never compared")
+	}
+}
+
 // TestConcurrentDecideDeterministic pins the second acceptance invariant:
 // concurrent batched requests answer identically to sequential library
 // calls, independent of shard count, batch size and cache capacity.
