@@ -147,7 +147,8 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 
 // Breaker is a per-target circuit breaker. Call Allow before an attempt;
 // when it admits, report the outcome with exactly one Success or Failure
-// call (the half-open probe accounting depends on it). Safe for
+// call, or hand the admission back with Release when the attempt proved
+// nothing (the half-open probe accounting depends on it). Safe for
 // concurrent use.
 type Breaker struct {
 	opt BreakerOptions
@@ -232,6 +233,18 @@ func (b *Breaker) Failure() {
 			b.transition(BreakerOpen)
 		}
 	default: // already open: refresh nothing — cooldown runs from openedAt
+	}
+}
+
+// Release hands back an admission without evidence either way (the
+// caller gave up before the target could answer): a half-open probe slot
+// is returned, and the state and consecutive-failure count stay as they
+// were.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen && b.probes > 0 {
+		b.probes--
 	}
 }
 

@@ -134,6 +134,50 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerRelease: a released admission is no evidence. Closed, it
+// leaves the consecutive-failure count where it was; half-open, it
+// returns the probe slot without closing or re-opening the breaker.
+func TestBreakerRelease(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerOptions{Threshold: 2, Cooldown: time.Second, HalfOpenProbes: 1, Clock: clk.Now})
+
+	b.Allow()
+	b.Failure()
+	for i := 0; i < 3; i++ {
+		if !b.Allow() {
+			t.Fatalf("closed breaker refused attempt %d", i)
+		}
+		b.Release()
+	}
+	if b.State() != BreakerClosed {
+		t.Fatalf("state %v after releases, want closed", b.State())
+	}
+	b.Allow()
+	b.Failure() // second consecutive failure: releases neither reset nor added to the count
+	if b.State() != BreakerOpen {
+		t.Fatalf("state %v after threshold failures around releases, want open", b.State())
+	}
+
+	clk.Advance(1100 * time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("breaker refused the half-open probe after cooldown")
+	}
+	if b.Allow() {
+		t.Fatal("half-open breaker admitted a second concurrent probe (HalfOpenProbes=1)")
+	}
+	b.Release()
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state %v after releasing the probe, want half-open", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("released probe slot was not handed back")
+	}
+	b.Success()
+	if b.State() != BreakerClosed {
+		t.Fatalf("state %v after probe success, want closed", b.State())
+	}
+}
+
 // TestBreakerSuccessResetsFailureCount: interleaved successes keep a
 // closed breaker closed — only *consecutive* failures open it.
 func TestBreakerSuccessResetsFailureCount(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"qosrma/internal/ops"
@@ -28,57 +27,47 @@ import (
 // other request is forwarded whole to a rotating replica, so operators
 // can point any client at the proxy.
 //
-// Every forward runs through the resilience layer: a per-attempt
-// deadline, bounded retries with jittered exponential backoff (only for
-// idempotent requests — GET/HEAD and the pure-compute decide/score
-// POSTs; sweeps and admin mutations get exactly one attempt), a circuit
-// breaker per replica, and optional active health probing that ejects
-// dead replicas from rotation. When every replica of a group is out, its
-// keys spill to the next available group on the ring — correct because
-// the whole fleet serves one database — and return the moment the owner
-// heals.
+// Every forward runs through the tier's one failover core (lane.failover,
+// shared with the wire proxy): a per-attempt deadline, bounded retries
+// with jittered exponential backoff (only for idempotent requests —
+// GET/HEAD and the pure-compute decide/score POSTs; sweeps and admin
+// mutations get exactly one attempt), a circuit breaker per replica, and
+// optional active health probing that ejects dead replicas from
+// rotation. When every replica of a group is out, its keys spill to the
+// next available group on the ring — correct because the whole fleet
+// serves one database — and return the moment the owner heals. A client
+// that gives up mid-forward is not counted against the replica.
 //
 // Two endpoints are answered locally instead of forwarded: /v1/healthz
 // reports the proxy's own deep health (a group with zero available
 // replicas makes the tier degraded) and /metrics exposes the routing
 // tier's counters.
 type Proxy struct {
+	lane // the JSON lane: every replica, its HTTP breakers and counters
+
 	ring   *Ring
 	client *http.Client
 	opt    Options
 
 	replicas []replica
-	groups   [][]int // group index → indices into replicas
-	all      []int   // every replica index, for whole-request forwards
-	rr       []atomic.Uint32
-	ar       atomic.Uint32 // any-replica rotation (whole-request forwards)
+	prober   *resilience.Prober
+	wire     *WireProxy // attached by ServeWire; shares health and the failover core
 
-	prober *resilience.Prober
-	wire   *WireProxy // attached by ServeWire; shares breakers and health
-
-	reg *ops.Registry
-	// Legacy counters kept for Stats().
-	requests atomic.Uint64 // decide requests handled
-	splits   atomic.Uint64 // decide requests that spanned >1 group
-	failures atomic.Uint64 // forwards that exhausted every attempt
-
-	retried  *ops.Counter // retry attempts after a failure
-	attempts *ops.Counter // attempt failures (transport, truncation, 5xx)
-	spills   *ops.Counter // decide queries routed off-owner (group down)
-	breakTo  map[resilience.BreakerState]*ops.Counter
+	reg     *ops.Registry
+	spills  *ops.Counter // decide queries routed off-owner (group down)
+	breakTo map[resilience.BreakerState]*ops.Counter
 
 	rngMu sync.Mutex
 	rng   *stats.RNG
 }
 
-// replica is one flattened backend address with its failure-isolation
-// state. Health (prober) and breaker state are per replica, not per
-// group: one dead process must not poison its siblings.
+// replica is one flattened backend address. Health (prober) and breaker
+// state are per replica, not per group: one dead process must not poison
+// its siblings.
 type replica struct {
 	group    int
 	addr     string // HTTP host:port
 	wireAddr string // binary wire host:port ("" = none)
-	breaker  *resilience.Breaker
 }
 
 // Options tunes the proxy's resilience behaviour. The zero value selects
@@ -146,29 +135,20 @@ func NewProxyWithOptions(ring *Ring, client *http.Client, opt Options) *Proxy {
 		ring:   ring,
 		client: client,
 		opt:    opt,
-		groups: make([][]int, len(ring.Backends())),
-		rr:     make([]atomic.Uint32, len(ring.Backends())),
 		reg:    ops.NewRegistry(),
 		rng:    stats.NewRNG(stats.SeedFrom(opt.Seed, "route/jitter")),
 	}
 	p.initMetrics()
 	for g, b := range ring.Backends() {
 		for i, addr := range b.Addrs {
-			ri := len(p.replicas)
 			var wireAddr string
 			if len(b.WireAddrs) > i {
 				wireAddr = b.WireAddrs[i]
 			}
-			p.replicas = append(p.replicas, replica{
-				group:    g,
-				addr:     addr,
-				wireAddr: wireAddr,
-				breaker:  p.newBreaker(),
-			})
-			p.groups[g] = append(p.groups[g], ri)
-			p.all = append(p.all, ri)
+			p.replicas = append(p.replicas, replica{group: g, addr: addr, wireAddr: wireAddr})
 		}
 	}
+	p.lane.build(p, func(*replica) bool { return true })
 	if opt.ProbeInterval > 0 {
 		popt := opt.Prober
 		popt.Interval = opt.ProbeInterval
@@ -203,18 +183,15 @@ func (p *Proxy) ProbeNow() {
 }
 
 func (p *Proxy) initMetrics() {
-	p.reg.CounterFunc("qosrmad_route_requests_total",
-		"Decide requests handled by the routing tier.", "",
-		func() float64 { return float64(p.requests.Load()) })
-	p.reg.CounterFunc("qosrmad_route_splits_total",
-		"Decide requests that spanned more than one backend group.", "",
-		func() float64 { return float64(p.splits.Load()) })
-	p.reg.CounterFunc("qosrmad_route_exhausted_total",
-		"Forwards that exhausted every attempt and answered an error.", "",
-		func() float64 { return float64(p.failures.Load()) })
+	p.requests = p.reg.Counter("qosrmad_route_requests_total",
+		"Decide requests handled by the routing tier.", "")
+	p.splits = p.reg.Counter("qosrmad_route_splits_total",
+		"Decide requests that spanned more than one backend group.", "")
+	p.exhausted = p.reg.Counter("qosrmad_route_exhausted_total",
+		"Forwards that exhausted every attempt and answered an error.", "")
 	p.retried = p.reg.Counter("qosrmad_route_retries_total",
 		"Forward attempts retried after a failure.", "")
-	p.attempts = p.reg.Counter("qosrmad_route_attempt_failures_total",
+	p.failed = p.reg.Counter("qosrmad_route_attempt_failures_total",
 		"Individual forward attempts that failed (transport error, truncated body, or 5xx).", "")
 	p.spills = p.reg.Counter("qosrmad_route_spills_total",
 		"Decide forwards served off-owner because the owning group had no available replica.", "")
@@ -282,9 +259,9 @@ func (p *Proxy) proberStats() (uint64, uint64) {
 func (p *Proxy) probeReplica(ctx context.Context, ri int) error {
 	err := p.probeReplicaHTTP(ctx, ri)
 	if err != nil {
-		p.replicas[ri].breaker.Failure()
+		p.breakers[ri].Failure()
 	} else {
-		p.replicas[ri].breaker.Success()
+		p.breakers[ri].Success()
 	}
 	return err
 }
@@ -317,7 +294,7 @@ func (p *Proxy) replicaHealthy(ri int) bool {
 // replicaAvailable reports whether the replica is in rotation:
 // probe-healthy and breaker not refusing.
 func (p *Proxy) replicaAvailable(ri int) bool {
-	return p.replicaHealthy(ri) && p.replicas[ri].breaker.State() != resilience.BreakerOpen
+	return p.replicaHealthy(ri) && p.breakers[ri].State() != resilience.BreakerOpen
 }
 
 // groupAvailable reports whether any replica of group g is in rotation.
@@ -333,7 +310,7 @@ func (p *Proxy) groupAvailable(g int) bool {
 // Stats reports decide requests handled, how many spanned multiple
 // groups, and how many forwards exhausted every attempt.
 func (p *Proxy) Stats() (requests, splits, failures uint64) {
-	return p.requests.Load(), p.splits.Load(), p.failures.Load()
+	return p.requests.Value(), p.splits.Value(), p.exhausted.Value()
 }
 
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -448,7 +425,7 @@ func (pk picker) assign(groups [][]int, hashes []uint64) (first int, split bool)
 // answers. A request whose queries all map to one group is forwarded
 // verbatim (the common case under key-affine clients).
 func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
-	p.requests.Add(1)
+	p.requests.Inc()
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeProxyError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
@@ -480,7 +457,7 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 		writeBackendResponse(w, resp)
 		return
 	}
-	p.splits.Add(1)
+	p.splits.Inc()
 
 	// Fan the sub-batches out concurrently; merge preserves request order
 	// because each group's answer slice is index-aligned with the subset
@@ -557,11 +534,6 @@ func (p *Proxy) serveDecide(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(&merged) //nolint:errcheck // client gone; nothing to report
 }
 
-// errNoReplica marks a forward that found no admitted replica anywhere:
-// answered as 503 + Retry-After so well-behaved clients back off instead
-// of hammering a fleet that is already down.
-var errNoReplica = errors.New("no replica available")
-
 // backendResponse is one fully-buffered backend answer. Buffering is
 // deliberate: a connection reset mid-body is then an attempt failure the
 // retry loop handles (next replica) instead of a truncated response
@@ -574,12 +546,10 @@ type backendResponse struct {
 }
 
 // attempt runs exactly one forward to one replica under the per-attempt
-// deadline and reports the outcome to its breaker. Transport errors,
-// truncated bodies and 5xx answers count as failures; any completed
-// non-5xx answer (a 4xx is the backend authoritatively rejecting the
-// request) counts as success.
+// deadline. Transport errors and truncated bodies are errors; any
+// completed answer is returned, whatever its status.
 func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType string, body []byte) (*backendResponse, error) {
-	rep := &p.replicas[ri]
+	addr := p.replicas[ri].addr
 	if t := p.opt.attemptTimeout(); t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
@@ -590,7 +560,7 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 		rd = bytes.NewReader(body)
 	}
 	//qosrma:allow(ctxdeadline) deadline is attached above unless the operator set AttemptTimeout<0 to disable it; the inbound request's ctx still cancels the attempt
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+rep.addr+uri, rd)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+uri, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -599,9 +569,7 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		rep.breaker.Failure()
-		p.attempts.Inc()
-		return nil, fmt.Errorf("replica %s: %w", rep.addr, err)
+		return nil, fmt.Errorf("replica %s: %w", addr, err)
 	}
 	payload, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -609,15 +577,7 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 		// The status line arrived but the body did not (reset mid-body):
 		// a replica failure like any other, retried on the next replica
 		// rather than relayed as a truncated answer.
-		rep.breaker.Failure()
-		p.attempts.Inc()
-		return nil, fmt.Errorf("replica %s: response truncated: %w", rep.addr, err)
-	}
-	if resp.StatusCode >= 500 {
-		rep.breaker.Failure()
-		p.attempts.Inc()
-	} else {
-		rep.breaker.Success()
+		return nil, fmt.Errorf("replica %s: response truncated: %w", addr, err)
 	}
 	return &backendResponse{
 		code:        resp.StatusCode,
@@ -627,35 +587,6 @@ func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType st
 	}, nil
 }
 
-// pickReplica returns the next admitted replica of group g (rotating),
-// skipping index skip (the previous attempt's choice), or -1 when the
-// group has none. g < 0 means any group.
-func (p *Proxy) pickReplica(g, skip int) int {
-	if g < 0 {
-		return rotate(p.all, &p.ar, skip, p.admit)
-	}
-	return rotate(p.groups[g], &p.rr[g], skip, p.admit)
-}
-
-// rotate returns the first replica of idxs from ctr's next rotation step
-// on that is not skip and that admit accepts, or -1.
-func rotate(idxs []int, ctr *atomic.Uint32, skip int, admit func(ri int) bool) int {
-	start := int(ctr.Add(1))
-	for k := range idxs {
-		if ri := idxs[(start+k)%len(idxs)]; ri != skip && admit(ri) {
-			return ri
-		}
-	}
-	return -1
-}
-
-// admit checks prober health and reserves breaker admission. A true
-// return must be followed by exactly one attempt (the breaker's
-// half-open probe accounting depends on it).
-func (p *Proxy) admit(ri int) bool {
-	return p.replicaHealthy(ri) && p.replicas[ri].breaker.Allow()
-}
-
 // rnd is the locked jitter source for backoff delays.
 func (p *Proxy) rnd() float64 {
 	p.rngMu.Lock()
@@ -663,58 +594,30 @@ func (p *Proxy) rnd() float64 {
 	return p.rng.Float64()
 }
 
-// forward runs the retry loop for one request against group g (g < 0 =
-// any group). Idempotent requests get the configured extra attempts and
-// fail over across replicas — spilling out of the group when it has none
-// left — with backoff between attempts; non-idempotent requests get
-// exactly one attempt. A 5xx answer is retried like a transport failure
-// but relayed verbatim when attempts run out (the backend's own error
-// beats a synthetic one).
+// forward is the JSON adapter over the failover core: one request to
+// group g (anyGroup = any replica), with the configured extra attempts
+// for idempotent requests and exactly one for the rest. A 5xx answer is
+// an attempt failure like a transport error, but relayed verbatim when
+// attempts run out (the backend's own error beats a synthetic one); any
+// other completed answer (a 4xx is the backend authoritatively rejecting
+// the request) is a success.
 func (p *Proxy) forward(ctx context.Context, g int, method, uri, contentType string, body []byte, idempotent bool) (*backendResponse, error) {
 	attempts := 1
 	if idempotent {
 		attempts += p.opt.retries()
 	}
-	var lastResp *backendResponse
-	var lastErr error
-	tried := -1
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			p.retried.Inc()
-			if err := p.opt.Backoff.Sleep(ctx, a-1, p.rnd); err != nil {
-				break
-			}
+	var resp *backendResponse
+	err := p.failover(ctx, g, attempts, true, func(ri int) (err error) {
+		resp, err = p.attempt(ctx, ri, method, uri, contentType, body)
+		if err == nil && resp.code >= 500 {
+			return errAnswered
 		}
-		ri := p.pickReplica(g, tried)
-		if ri < 0 && g >= 0 && idempotent {
-			// The owning group is out mid-request: any backend answers
-			// the same decide (one fleet, one database).
-			ri = p.pickReplica(-1, tried)
-		}
-		if ri < 0 {
-			lastErr = errNoReplica
-			continue // backoff: a breaker may half-open meanwhile
-		}
-		tried = ri
-		resp, err := p.attempt(ctx, ri, method, uri, contentType, body)
-		if err != nil {
-			lastResp, lastErr = nil, err
-			continue
-		}
-		if resp.code >= 500 && idempotent && a < attempts-1 {
-			lastResp, lastErr = resp, nil
-			continue
-		}
-		return resp, nil
+		return err
+	})
+	if err != nil && !errors.Is(err, errAnswered) {
+		return nil, err
 	}
-	if lastResp != nil {
-		return lastResp, nil
-	}
-	p.failures.Add(1)
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return nil, lastErr
+	return resp, nil
 }
 
 // forwardWhole proxies any non-decide request to a rotating replica
@@ -730,7 +633,7 @@ func (p *Proxy) forwardWhole(w http.ResponseWriter, r *http.Request) {
 	}
 	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead ||
 		(r.Method == http.MethodPost && (r.URL.Path == "/v1/decide" || r.URL.Path == "/v1/score"))
-	resp, err := p.forward(r.Context(), -1, r.Method, r.URL.RequestURI(),
+	resp, err := p.forward(r.Context(), anyGroup, r.Method, r.URL.RequestURI(),
 		r.Header.Get("Content-Type"), body, idempotent)
 	if err != nil {
 		p.writeForwardError(w, err)

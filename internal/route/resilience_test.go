@@ -1,12 +1,14 @@
 package route
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,38 +157,166 @@ func TestProxyRetriesTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestProxyBreakerShortCircuits: once the dead replica's breaker opens,
-// an all-dead group answers 503 + Retry-After immediately (no replica
-// admitted) instead of dialing the corpse forever.
-func TestProxyBreakerShortCircuits(t *testing.T) {
-	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{"127.0.0.1:1"}}}, 0)
-	p := NewProxyWithOptions(ring, nil, Options{
-		Retries: -1, // one attempt per request: breaker state is observable per request
-		Breaker: resilience.BreakerOptions{Threshold: 1, Cooldown: time.Hour},
-	})
-	defer p.Close()
+// tierCodec drives single-query decides through a Proxy on one codec and
+// reports what a client saw as (status, Retry-After). The wire codec maps
+// a DecideResponse to 200 and an Error frame with ErrCodeUnavailable that
+// echoes the request's sequence number to 503, with the frame standing in
+// for Retry-After; any other answer fails the test.
+type tierCodec struct {
+	name   string
+	prefix string // the codec's counter prefix
+	decide func(t *testing.T) (int, string)
+}
+
+// tierCodecs serves p on both codecs: JSON on an httptest server, whose
+// URL it returns, and the binary protocol on a loopback listener.
+func tierCodecs(t *testing.T, p *Proxy) (string, []tierCodec) {
+	t.Helper()
 	proxy := httptest.NewServer(p)
 	t.Cleanup(proxy.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := p.ServeWire(ln)
+	var seq uint32
+	return proxy.URL, []tierCodec{
+		{name: "json", prefix: "qosrmad_route_", decide: func(t *testing.T) (int, string) {
+			t.Helper()
+			body, _ := json.Marshal(service.DecideRequest{DecideQuery: proxyQueries(1)[0]})
+			resp, err := http.Post(proxy.URL+"/v1/decide", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for reuse
+			resp.Body.Close()
+			return resp.StatusCode, resp.Header.Get("Retry-After")
+		}},
+		{name: "wire", prefix: "qosrmad_route_wire_", decide: func(t *testing.T) (int, string) {
+			t.Helper()
+			c, err := net.Dial("tcp", wp.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			seq++
+			req := wireTestRequest(1)
+			req.Seq = seq
+			if _, err := c.Write(wire.AppendDecideRequest(nil, req)); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := wire.NewReader(c).Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ == wire.TypeDecideResponse {
+				return http.StatusOK, ""
+			}
+			if typ != wire.TypeError {
+				t.Fatalf("wire proxy answered frame type %#x", typ)
+			}
+			got, code, msg, err := wire.ParseError(payload)
+			if err != nil || code != wire.ErrCodeUnavailable || got != seq {
+				t.Fatalf("wire error frame seq %d code %d %q (%v), want seq %d code %d",
+					got, code, msg, err, seq, wire.ErrCodeUnavailable)
+			}
+			return http.StatusServiceUnavailable, "wire"
+		}},
+	}
+}
 
-	post := func() *http.Response {
-		body, _ := json.Marshal(service.DecideRequest{DecideQuery: proxyQueries(1)[0]})
-		resp, err := http.Post(proxy.URL+"/v1/decide", "application/json", strings.NewReader(string(body)))
+// TestProxyBreakerShortCircuits: once the dead replica's breaker opens,
+// an all-dead group answers unavailable immediately (503 + Retry-After
+// on JSON, an Unavailable error frame on wire; no replica admitted)
+// instead of dialing the corpse forever.
+func TestProxyBreakerShortCircuits(t *testing.T) {
+	for i, name := range []string{"json", "wire"} {
+		t.Run(name, func(t *testing.T) {
+			ring, _ := New([]Backend{{Name: "g0", Addrs: []string{"127.0.0.1:1"}, WireAddrs: []string{"127.0.0.1:1"}}}, 0)
+			p := NewProxyWithOptions(ring, nil, Options{
+				Retries: -1, // one attempt per request: breaker state is observable per request
+				Breaker: resilience.BreakerOptions{Threshold: 1, Cooldown: time.Hour},
+			})
+			defer p.Close()
+			url, codecs := tierCodecs(t, p)
+			codec := codecs[i]
+			opened := `qosrmad_route_breaker_transitions_total{to="open"}`
+
+			code, _ := codec.decide(t)
+			want := http.StatusBadGateway // transport failure
+			if name == "wire" {
+				want = http.StatusServiceUnavailable // the wire codec has one unavailable code
+			}
+			if code != want {
+				t.Fatalf("first request answered %d, want %d", code, want)
+			}
+			if got := scrapeCounter(t, url, opened); got != 1 {
+				t.Fatalf("%v breakers opened after one failed request, want 1", got)
+			}
+			failed := scrapeCounter(t, url, codec.prefix+"attempt_failures_total")
+			code, retryAfter := codec.decide(t)
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("second request answered %d, want 503 (breaker open, no replica)", code)
+			}
+			if retryAfter == "" {
+				t.Fatal("503 without Retry-After")
+			}
+			if got := scrapeCounter(t, url, codec.prefix+"attempt_failures_total"); got != failed {
+				t.Fatalf("open breaker still let an attempt through: attempt failures %v → %v", failed, got)
+			}
+			if got := scrapeCounter(t, url, opened); got != 1 {
+				t.Fatalf("breaker transitions to open = %v, want 1", got)
+			}
+		})
+	}
+}
+
+// TestProxyAllReplicasDown: with every replica ejected by the prober, a
+// decide answers unavailable on both codecs (503 + Retry-After on JSON,
+// an Unavailable error frame echoing the sequence number on wire) after
+// spending its retry budget on backoff, and each request counts one
+// exhausted forward and Retries retries on its own codec's counters.
+func TestProxyAllReplicasDown(t *testing.T) {
+	dead := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for reuse
-		resp.Body.Close()
-		return resp
+		addr := ln.Addr().String()
+		ln.Close()
+		return addr
 	}
-	if resp := post(); resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("first request answered %d, want 502 (transport failure)", resp.StatusCode)
-	}
-	resp := post()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("second request answered %d, want 503 (breaker open, no replica)", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
+	ring, _ := New([]Backend{
+		{Name: "g0", Addrs: []string{dead(), dead()}, WireAddrs: []string{dead(), dead()}},
+		{Name: "g1", Addrs: []string{dead()}, WireAddrs: []string{dead()}},
+	}, 0)
+	const retries = 2
+	p := NewProxyWithOptions(ring, nil, Options{
+		Retries:       retries,
+		ProbeInterval: time.Hour, // rounds driven manually via ProbeNow
+		Prober:        resilience.ProberOptions{FailThreshold: 1, SuccessThreshold: 1},
+	})
+	defer p.Close()
+	url, codecs := tierCodecs(t, p)
+	p.ProbeNow()
+	for _, codec := range codecs {
+		t.Run(codec.name, func(t *testing.T) {
+			exhausted := scrapeCounter(t, url, codec.prefix+"exhausted_total")
+			retried := scrapeCounter(t, url, codec.prefix+"retries_total")
+			const requests = 2
+			for i := 0; i < requests; i++ {
+				code, retryAfter := codec.decide(t)
+				if code != http.StatusServiceUnavailable || retryAfter == "" {
+					t.Fatalf("request %d answered %d (Retry-After %q), want 503 with Retry-After", i, code, retryAfter)
+				}
+			}
+			if got := scrapeCounter(t, url, codec.prefix+"exhausted_total") - exhausted; got != requests {
+				t.Fatalf("%sexhausted_total moved by %v, want %d", codec.prefix, got, requests)
+			}
+			if got := scrapeCounter(t, url, codec.prefix+"retries_total") - retried; got != requests*retries {
+				t.Fatalf("%sretries_total moved by %v, want %d", codec.prefix, got, requests*retries)
+			}
+		})
 	}
 }
 
@@ -270,6 +400,111 @@ func TestProxyHealthzDeepAndSpill(t *testing.T) {
 		if !a.Decided || a.Settings[0].Size != "b0" {
 			t.Fatalf("query %d answered by %+v, want survivor b0", i, a)
 		}
+	}
+}
+
+// slowBackend answers /v1/decide after delay, or gives up when the
+// forward is cancelled first.
+func slowBackend(t *testing.T, delay time.Duration) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // drain for reuse
+		select {
+		case <-time.After(delay):
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, `{"result":{"decided":false}}`)
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// postDecideWithin posts one decide through url and returns the status,
+// or 0 when the client's own timeout fires first.
+func postDecideWithin(t *testing.T, url string, timeout time.Duration) int {
+	t.Helper()
+	body, _ := json.Marshal(service.DecideRequest{DecideQuery: proxyQueries(1)[0]})
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Post(url+"/v1/decide", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		return 0
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for reuse
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestClientGiveUpSparesReplica: clients that time out before a slow but
+// healthy replica answers are not evidence against it. Their forwards
+// count no attempt failure and no exhausted forward, the breaker stays
+// closed, and the next patient client is answered instead of getting a
+// 503 for the breaker's cooldown.
+func TestClientGiveUpSparesReplica(t *testing.T) {
+	slow := slowBackend(t, 200*time.Millisecond)
+	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{backendAddr(slow)}}}, 0)
+	p := NewProxy(ring, nil)
+	defer p.Close()
+	var served atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.ServeHTTP(w, r)
+		served.Add(1)
+	}))
+	t.Cleanup(proxy.Close)
+
+	const impatient = 5
+	for i := 0; i < impatient; i++ {
+		if code := postDecideWithin(t, proxy.URL, 20*time.Millisecond); code != 0 {
+			t.Fatalf("impatient client %d got %d before the replica could answer", i, code)
+		}
+	}
+	// Wait until every abandoned forward has finished its accounting.
+	for deadline := time.Now().Add(5 * time.Second); served.Load() < impatient; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d abandoned forwards finished", served.Load(), impatient)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !p.replicaAvailable(0) {
+		t.Fatal("clients giving up opened a healthy replica's breaker")
+	}
+	if _, _, exhausted := p.Stats(); exhausted != 0 {
+		t.Fatalf("%d abandoned forwards counted as exhausted", exhausted)
+	}
+	if got := scrapeCounter(t, proxy.URL, "qosrmad_route_attempt_failures_total"); got != 0 {
+		t.Fatalf("%v abandoned attempts counted as replica failures", got)
+	}
+	if code := postDecideWithin(t, proxy.URL, 5*time.Second); code != http.StatusOK {
+		t.Fatalf("patient client answered %d after impatient ones gave up, want 200", code)
+	}
+}
+
+// TestAttemptTimeoutOpensBreaker: a replica slower than AttemptTimeout
+// is a failing replica, unlike a client that gives up: the expiry is an
+// attempt failure and opens the breaker.
+func TestAttemptTimeoutOpensBreaker(t *testing.T) {
+	slow := slowBackend(t, 200*time.Millisecond)
+	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{backendAddr(slow)}}}, 0)
+	p := NewProxyWithOptions(ring, nil, Options{
+		AttemptTimeout: 20 * time.Millisecond,
+		Retries:        -1,
+		Breaker:        resilience.BreakerOptions{Threshold: 1, Cooldown: time.Hour},
+	})
+	defer p.Close()
+	proxy := httptest.NewServer(p)
+	t.Cleanup(proxy.Close)
+
+	if code := postDecideWithin(t, proxy.URL, 5*time.Second); code != http.StatusBadGateway {
+		t.Fatalf("timed-out attempt answered %d, want 502", code)
+	}
+	if p.replicaAvailable(0) {
+		t.Fatal("a replica slower than AttemptTimeout kept its breaker closed")
+	}
+	if _, _, exhausted := p.Stats(); exhausted != 1 {
+		t.Fatalf("exhausted forwards = %d, want 1", exhausted)
+	}
+	if got := scrapeCounter(t, proxy.URL, "qosrmad_route_attempt_failures_total"); got != 1 {
+		t.Fatalf("attempt failures = %v, want 1", got)
 	}
 }
 
@@ -416,7 +651,9 @@ func TestProxyMetricsLocal(t *testing.T) {
 // answered with a fixed Meta, and every decide query is answered with a
 // per-core signature (Size = backend id, Freq = bench id, Ways = phase)
 // so merge alignment is checkable. unavailable makes it answer every
-// decide with an Error frame code Unavailable — a draining backend.
+// decide with an Error frame code Unavailable — a draining backend. Each
+// connection reuses its frame and answer scratch, so a warm exchange
+// allocates nothing on the backend's side.
 func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -436,8 +673,11 @@ func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
 			go func() {
 				defer c.Close()
 				r := wire.NewReader(c)
-				var req wire.DecideRequest
-				var out []byte
+				var (
+					req  wire.DecideRequest
+					resp wire.DecideResponse
+					out  []byte
+				)
 				for {
 					typ, payload, err := r.Next()
 					if err != nil {
@@ -456,8 +696,11 @@ func fakeWireBackend(t *testing.T, id uint8, unavailable bool) string {
 							break
 						}
 						n, count := int(req.NCores), req.Count()
-						resp := wire.DecideResponse{Seq: req.Seq, NCores: req.NCores,
-							Decided: make([]bool, count), Settings: make([]wire.Setting, count*n)}
+						resp.Seq, resp.NCores = req.Seq, req.NCores
+						if cap(resp.Decided) < count || cap(resp.Settings) < count*n {
+							resp.Decided, resp.Settings = make([]bool, count), make([]wire.Setting, count*n)
+						}
+						resp.Decided, resp.Settings = resp.Decided[:count], resp.Settings[:count*n]
 						for i := 0; i < count; i++ {
 							resp.Decided[i] = true
 							for ci := 0; ci < n; ci++ {
@@ -631,6 +874,109 @@ func TestWireProxyFailover(t *testing.T) {
 			if resp.Settings[ci].Size != 10 {
 				t.Fatalf("request %d answered by backend %d, want live 10", i, resp.Settings[ci].Size)
 			}
+		}
+	}
+}
+
+// TestWireForwardAllocs pins the warm wire forward at zero allocations:
+// splitting, the failover core and its per-attempt callback, the pooled
+// round trip and the merge. The fake backends reuse their scratch, so
+// the count is the tier's alone.
+func TestWireForwardAllocs(t *testing.T) {
+	ring, _ := New([]Backend{
+		{Name: "g0", Addrs: []string{"10.255.0.1:1"}, WireAddrs: []string{fakeWireBackend(t, 10, false)}},
+		{Name: "g1", Addrs: []string{"10.255.0.2:1"}, WireAddrs: []string{fakeWireBackend(t, 20, false)}},
+	}, 0)
+	p := NewProxy(ring, nil)
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := p.ServeWire(ln)
+	for _, tc := range []struct {
+		name    string
+		queries int
+		split   bool
+	}{
+		{"one-query", 1, false},
+		{"64-query-split", 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var req wire.DecideRequest
+			payload := wire.AppendDecideRequest(nil, wireTestRequest(tc.queries))[wire.HeaderSize:]
+			if err := wire.ParseDecideRequest(payload, &req); err != nil {
+				t.Fatal(err)
+			}
+			m := mergeState{groups: make([][]int, len(p.groups))}
+			var out []byte
+			_, splits0, _ := wp.Stats()
+			for i := 0; i < 3; i++ { // warm: Meta, pooled connections, scratch
+				out = wp.handleDecide(out[:0], payload, &req, &m)
+			}
+			if typ, _, err := wire.NewReader(bytes.NewReader(out)).Next(); err != nil || typ != wire.TypeDecideResponse {
+				t.Fatalf("warm forward answered frame type %#x (%v)", typ, err)
+			}
+			if _, splits, _ := wp.Stats(); (splits > splits0) != tc.split {
+				t.Fatalf("split = %v, want %v", splits > splits0, tc.split)
+			}
+			if got := testing.AllocsPerRun(100, func() { out = wp.handleDecide(out[:0], payload, &req, &m) }); got != 0 {
+				t.Fatalf("warm %d-query wire forward allocated %.1f times, want 0", tc.queries, got)
+			}
+		})
+	}
+}
+
+// TestTierMetricCatalog: the qosrmad_route_* series a tier with the wire
+// proxy attached exposes are exactly the rows of the "Tier metrics"
+// table in docs/operations.md, in both directions, so a rename or a new
+// series cannot land without its documentation (perfbench reads these
+// names too).
+func TestTierMetricCatalog(t *testing.T) {
+	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{"10.255.0.1:1"}, WireAddrs: []string{"10.255.0.1:2"}}}, 0)
+	p := NewProxy(ring, nil)
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ServeWire(ln)
+	var page bytes.Buffer
+	p.Registry().WritePrometheus(&page)
+	exposed := map[string]bool{}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "qosrmad_route_") {
+			exposed[f[2]] = true
+		}
+	}
+
+	doc, err := os.ReadFile("../../docs/operations.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n### Tier metrics\n")
+	if !ok {
+		t.Fatal(`docs/operations.md has no "### Tier metrics" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `qosrmad_route_"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			documented["qosrmad_route_"+name] = true
+		}
+	}
+	if len(exposed) == 0 || len(documented) == 0 {
+		t.Fatalf("exposed %d route series, documented %d", len(exposed), len(documented))
+	}
+	for name := range exposed {
+		if !documented[name] {
+			t.Errorf("%s is exposed but missing from the Tier metrics table", name)
+		}
+	}
+	for name := range documented {
+		if !exposed[name] {
+			t.Errorf("%s is documented but not exposed", name)
 		}
 	}
 }

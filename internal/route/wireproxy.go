@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"qosrma/internal/ops"
-	"qosrma/internal/resilience"
 	"qosrma/internal/wire"
 )
 
@@ -22,34 +22,27 @@ import (
 // over pooled backend wire connections, and merges the answers into one
 // response echoing the client's sequence number.
 //
-// Failover semantics match the JSON path: per-replica circuit breakers
-// (separate from the HTTP breakers — the wire listener can die alone),
-// the shared health prober, bounded retries with backoff, and ring
+// The wire side shares the JSON path's failover core (lane.failover)
+// over a lane of its own: per-replica circuit breakers (separate from the
+// HTTP breakers — the wire listener can die alone), the shared health
+// prober, bounded retries with backoff that Close cuts short, and ring
 // spill when a whole group is out. A backend's drain goaway (Error
 // frame, code Unavailable) is a retryable replica failure, so draining
 // backends hand their in-flight keys to siblings without client-visible
 // errors. Pooled connections that died while idle are rebuilt on demand
 // (dial-with-backoff happens inside the same retry loop).
 type WireProxy struct {
-	p  *Proxy
-	ln net.Listener
+	lane // wire-capable replicas, their wire breakers and counters
 
-	// Wire-capable replicas (indices into p.replicas with a wire addr).
-	pools   []*wirePool // parallel to p.replicas; nil = no wire listener
-	byGroup [][]int
-	all     []int
-	rr      []atomic.Uint32
-	ar      atomic.Uint32
+	p      *Proxy
+	ln     net.Listener
+	ctx    context.Context // cancelled by Close: ends backoff in flight
+	cancel context.CancelFunc
+	pools  []*wirePool // parallel to p.replicas; nil = no wire listener
 
 	metaMu sync.Mutex // serializes the Meta fetch
 	meta   atomic.Pointer[wireMeta]
-
-	requests atomic.Uint64
-	splits   atomic.Uint64
-	failures atomic.Uint64
-	retried  *ops.Counter
-	attempts *ops.Counter
-	dials    *ops.Counter
+	dials  *ops.Counter
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -59,10 +52,9 @@ type WireProxy struct {
 }
 
 // wirePool is one replica's wire-connection pool: idle connections are
-// reused, dead ones dropped, and a breaker isolates the replica.
+// reused, dead ones dropped.
 type wirePool struct {
-	addr    string
-	breaker *resilience.Breaker
+	addr string
 
 	mu   sync.Mutex
 	idle []*wireConn
@@ -109,49 +101,38 @@ func unknownBench(id uint16) string { return "#" + strconv.Itoa(int(id)) }
 // context to fall back on and must never be unbounded.
 const defaultWireTimeout = 2 * time.Second
 
-// wireConn is one pooled backend connection with its framing reader and
-// write scratch.
+// wireConn is one pooled backend connection with its framing reader.
 type wireConn struct {
-	c   net.Conn
-	r   *wire.Reader
-	buf []byte
+	c net.Conn
+	r *wire.Reader
 }
 
 // ServeWire starts proxying the binary wire protocol on ln. Call once;
 // the returned WireProxy is also closed by Proxy.Close.
 func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
 	wp := &WireProxy{
-		p:       p,
-		ln:      ln,
-		pools:   make([]*wirePool, len(p.replicas)),
-		byGroup: make([][]int, len(p.groups)),
-		rr:      make([]atomic.Uint32, len(p.groups)),
-		conns:   make(map[net.Conn]struct{}),
+		p:     p,
+		ln:    ln,
+		pools: make([]*wirePool, len(p.replicas)),
+		conns: make(map[net.Conn]struct{}),
 	}
-	for ri := range p.replicas {
-		rep := &p.replicas[ri]
-		if rep.wireAddr == "" {
-			continue
-		}
-		wp.pools[ri] = &wirePool{addr: rep.wireAddr, breaker: p.newBreaker()}
-		wp.byGroup[rep.group] = append(wp.byGroup[rep.group], ri)
-		wp.all = append(wp.all, ri)
+	wp.ctx, wp.cancel = context.WithCancel(context.Background())
+	wp.lane.build(p, func(rep *replica) bool { return rep.wireAddr != "" })
+	for _, ri := range wp.all {
+		wp.pools[ri] = &wirePool{addr: p.replicas[ri].wireAddr}
 	}
 	wp.retried = p.reg.Counter("qosrmad_route_wire_retries_total",
 		"Wire forward attempts retried after a failure.", "")
-	wp.attempts = p.reg.Counter("qosrmad_route_wire_attempt_failures_total",
+	wp.failed = p.reg.Counter("qosrmad_route_wire_attempt_failures_total",
 		"Individual wire forward attempts that failed.", "")
 	wp.dials = p.reg.Counter("qosrmad_route_wire_dials_total",
 		"Backend wire connections dialed (reconnects included).", "")
-	p.reg.CounterFunc("qosrmad_route_wire_requests_total",
-		"Wire decide requests handled by the routing tier.", "",
-		func() float64 { return float64(wp.requests.Load()) })
-	p.reg.CounterFunc("qosrmad_route_wire_splits_total",
-		"Wire decide requests that spanned more than one backend group.", "",
-		func() float64 { return float64(wp.splits.Load()) })
-	p.reg.CounterFunc("qosrmad_route_wire_exhausted_total",
-		"Wire forwards that exhausted every attempt.", "",
-		func() float64 { return float64(wp.failures.Load()) })
+	wp.requests = p.reg.Counter("qosrmad_route_wire_requests_total",
+		"Wire decide requests handled by the routing tier.", "")
+	wp.splits = p.reg.Counter("qosrmad_route_wire_splits_total",
+		"Wire decide requests that spanned more than one backend group.", "")
+	wp.exhausted = p.reg.Counter("qosrmad_route_wire_exhausted_total",
+		"Wire forwards that exhausted every attempt.", "")
 	p.wire = wp
 	wp.wg.Add(1)
 	go wp.serve()
@@ -164,11 +145,13 @@ func (wp *WireProxy) Addr() string { return wp.ln.Addr().String() }
 // Stats reports wire decide requests handled, splits and exhausted
 // forwards.
 func (wp *WireProxy) Stats() (requests, splits, failures uint64) {
-	return wp.requests.Load(), wp.splits.Load(), wp.failures.Load()
+	return wp.requests.Value(), wp.splits.Value(), wp.exhausted.Value()
 }
 
-// Close stops accepting, closes client connections and the pools.
+// Close stops accepting, ends backoff in flight, closes client
+// connections and the pools.
 func (wp *WireProxy) Close() {
+	wp.cancel()
 	wp.closeOnce.Do(func() { wp.ln.Close() })
 	wp.mu.Lock()
 	for c := range wp.conns {
@@ -222,9 +205,8 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 	defer c.Close()
 	r := wire.NewReader(c)
 	var (
-		req  wire.DecideRequest
-		out  []byte
-		errB []byte
+		req wire.DecideRequest
+		out []byte
 	)
 	merge := mergeState{groups: make([][]int, len(wp.p.groups))}
 	for {
@@ -244,44 +226,32 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 				if errors.Is(err, wire.ErrTooLarge) {
 					code = wire.ErrCodeTooLarge
 				}
-				errB = wire.AppendError(errB[:0], 0, code, err.Error())
-				c.Write(errB) //nolint:errcheck // closing anyway
+				out = wire.AppendError(out[:0], 0, code, err.Error())
+				c.Write(out) //nolint:errcheck // closing anyway
 			}
 			return
 		}
 		switch typ {
 		case wire.TypeHello:
-			meta, err := wp.ensureMeta()
-			if err != nil {
-				errB = wire.AppendError(errB[:0], 0, wire.ErrCodeUnavailable,
+			if meta, err := wp.ensureMeta(); err != nil {
+				out = wire.AppendError(out[:0], 0, wire.ErrCodeUnavailable,
 					"no backend answered Hello: "+err.Error())
-				if _, werr := c.Write(errB); werr != nil {
-					return
-				}
-				continue
-			}
-			if _, err := c.Write(meta.raw); err != nil {
-				return
+			} else {
+				out = append(out[:0], meta.raw...)
 			}
 		case wire.TypeDecideRequest:
-			wp.requests.Add(1)
+			wp.requests.Inc()
 			if err := wire.ParseDecideRequest(payload, &req); err != nil {
-				errB = wire.AppendError(errB[:0], req.Seq, wire.ErrCodeMalformed, err.Error())
-				if _, werr := c.Write(errB); werr != nil {
-					return
-				}
-				continue
-			}
-			out = wp.handleDecide(out[:0], payload, &req, &merge)
-			if _, err := c.Write(out); err != nil {
-				return
+				out = wire.AppendError(out[:0], req.Seq, wire.ErrCodeMalformed, err.Error())
+			} else {
+				out = wp.handleDecide(out[:0], payload, &req, &merge)
 			}
 		default:
-			errB = wire.AppendError(errB[:0], 0, wire.ErrCodeUnsupported,
+			out = wire.AppendError(out[:0], 0, wire.ErrCodeUnsupported,
 				fmt.Sprintf("unexpected frame type %#x", typ))
-			if _, err := c.Write(errB); err != nil {
-				return
-			}
+		}
+		if _, err := c.Write(out); err != nil {
+			return
 		}
 	}
 }
@@ -318,7 +288,7 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 		}
 		return wp.relay(dst, req.Seq, typ, resp)
 	}
-	wp.splits.Add(1)
+	wp.splits.Inc()
 
 	if cap(m.decided) < count {
 		m.decided = make([]bool, count)
@@ -406,71 +376,30 @@ func (wp *WireProxy) relay(dst []byte, seq uint32, typ byte, payload []byte) []b
 	return append(dst, payload...)
 }
 
-// forward runs the retry loop for one request frame against group g,
-// mirroring the JSON proxy: bounded retries with backoff, per-replica
-// breakers, prober health, ring spill when the group has no wire-capable
-// replica left. The response payload is appended to respBuf (a copy —
-// it must outlive the pooled connection's read buffer).
-func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (byte, []byte, error) {
-	attempts := 1 + wp.p.opt.retries() // decide frames are idempotent
-	var lastErr error
-	tried := -1
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			wp.retried.Inc()
-			time.Sleep(wp.p.opt.Backoff.Delay(a-1, wp.p.rnd))
-		}
-		ri := wp.pick(g, tried)
-		if ri < 0 {
-			ri = wp.pick(-1, tried)
-		}
-		if ri < 0 {
-			lastErr = errNoReplica
-			continue
-		}
-		tried = ri
-		pool := wp.pools[ri]
-		typ, resp, err := pool.roundTrip(wp.dials, wp.p.opt.attemptTimeout(), frame, respBuf)
+// forward is the wire adapter over the failover core: one request frame
+// to group g, with the configured retries (decide frames are
+// idempotent). An Error frame with code Unavailable is a draining or
+// closed replica, so an attempt failure like any other. The response
+// payload is appended to respBuf (a copy — it must outlive the pooled
+// connection's read buffer).
+func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (typ byte, resp []byte, err error) {
+	resp = respBuf
+	err = wp.failover(wp.ctx, g, 1+wp.p.opt.retries(), true, func(ri int) (err error) {
+		typ, resp, err = wp.pools[ri].roundTrip(wp.dials, wp.p.opt.attemptTimeout(), frame, respBuf)
 		if err == nil && typ == wire.TypeError {
-			// Code Unavailable: the replica is draining or closed, an
-			// attempt failure like any other.
 			if _, code, msg, perr := wire.ParseError(resp); perr == nil && code == wire.ErrCodeUnavailable {
 				err = fmt.Errorf("backend error frame code %d: %s", code, msg)
 			}
 		}
-		if err != nil {
-			pool.breaker.Failure()
-			wp.attempts.Inc()
-			lastErr = err
-			continue
-		}
-		pool.breaker.Success()
-		return typ, resp, nil
-	}
-	wp.failures.Add(1)
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return 0, respBuf, lastErr
+		return err
+	})
+	return typ, resp, err
 }
 
-// pick selects the next admitted wire-capable replica of group g
-// (rotating), skipping skip; g < 0 means any group.
-func (wp *WireProxy) pick(g, skip int) int {
-	if g < 0 {
-		return rotate(wp.all, &wp.ar, skip, wp.admit)
-	}
-	return rotate(wp.byGroup[g], &wp.rr[g], skip, wp.admit)
-}
-
-// admit is Proxy.admit against the replica's wire breaker.
-func (wp *WireProxy) admit(ri int) bool {
-	return wp.p.replicaHealthy(ri) && wp.pools[ri].breaker.Allow()
-}
-
-// ensureMeta returns the published Meta, fetching it from the first wire
-// replica that answers a Hello when none is published yet. The benchmark
-// table it carries also feeds the canonical routing key.
+// ensureMeta returns the published Meta, fetching it with a Hello when
+// none is published yet: through the failover core, one attempt per wire
+// replica of any group, off the forward counters. The benchmark table it
+// carries also feeds the canonical routing key.
 func (wp *WireProxy) ensureMeta() (*wireMeta, error) {
 	if meta := wp.meta.Load(); meta != nil {
 		return meta, nil
@@ -481,34 +410,22 @@ func (wp *WireProxy) ensureMeta() (*wireMeta, error) {
 		return meta, nil
 	}
 	hello := wire.AppendHello(nil)
-	var lastErr error
-	for _, ri := range wp.all {
-		pool := wp.pools[ri]
-		if !pool.breaker.Allow() {
-			continue
+	var meta *wireMeta
+	err := wp.failover(wp.ctx, anyGroup, len(wp.all), false, func(ri int) error {
+		typ, resp, err := wp.pools[ri].roundTrip(wp.dials, wp.p.opt.attemptTimeout(), hello, nil)
+		if err == nil && typ != wire.TypeMeta {
+			err = fmt.Errorf("replica %s answered frame type %#x to Hello", wp.pools[ri].addr, typ)
 		}
-		typ, resp, err := pool.roundTrip(wp.dials, wp.p.opt.attemptTimeout(), hello, nil)
-		if err != nil || typ != wire.TypeMeta {
-			pool.breaker.Failure()
-			if err == nil {
-				err = fmt.Errorf("replica %s answered frame type %#x to Hello", pool.addr, typ)
-			}
-			lastErr = err
-			continue
+		if err == nil {
+			meta, err = newWireMeta(resp)
 		}
-		pool.breaker.Success()
-		meta, err := newWireMeta(resp)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		wp.meta.Store(meta)
-		return meta, nil
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = errNoReplica
-	}
-	return nil, lastErr
+	wp.meta.Store(meta)
+	return meta, nil
 }
 
 // wireSchemeNames maps interned scheme IDs to the canonical lowercased

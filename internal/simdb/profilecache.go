@@ -25,9 +25,9 @@ import (
 // deepest associativity requested so far: LRU stack order is
 // capacity-independent (a shallower directory's stacks are prefixes of a
 // deeper one's), so a profile taken at assoc P serves any request with
-// assoc A <= P by truncation, bit-identically. Build therefore profiles at
-// ProfileAssoc >= the system's associativity, letting the 4-core and
-// 8-core databases share one pass per phase.
+// assoc A <= P by truncation, bit-identically. BuildAll therefore profiles
+// at the deepest LLC associativity among the systems it builds, letting
+// the 4-core and 8-core databases share one pass per phase.
 
 // profileKey identifies the inputs of one phase profile. The jittered
 // behaviour spec is embedded by value (it is comparable), so two

@@ -139,14 +139,6 @@ type BuildOptions struct {
 	Sample   trace.SampleParams
 	SimPoint simpoint.Options
 	Workers  int
-	// ProfileAssoc optionally profiles phases with a deeper tag directory
-	// than the system's LLC associativity, so the cached profile can also
-	// serve later builds of larger geometries (LRU stack distances are
-	// capacity-independent, making the deep profile's w <= Assoc prefix
-	// bit-identical to a native-depth profile). Zero, or any value below
-	// the system associativity, means the system's associativity. BuildAll
-	// raises it to the deepest LLC among its systems automatically.
-	ProfileAssoc int
 }
 
 // DefaultBuildOptions returns the standard build configuration.
@@ -183,7 +175,7 @@ func BuildAll(systems []arch.SystemConfig, benches []*trace.Benchmark, opt Build
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("simdb: no system configurations")
 	}
-	profileAssoc := opt.ProfileAssoc
+	profileAssoc := 0
 	for _, sys := range systems {
 		if err := sys.Validate(); err != nil {
 			return nil, err
