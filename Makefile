@@ -136,13 +136,15 @@ chaos:
 # scorers (serial and concurrent), and the resource manager's curve table
 # and allocation memo against unkeyed twins (every scheme, both models,
 # oracle and realistic statistics, through vacancies and table resets),
-# and the routing tier's streamed key hash against the rendered key and
+# the routing tier's streamed key hash against the rendered key and
 # its pre-streaming reference on both codecs (placement is part of the
-# contract).
+# contract), and the service's query hash: equal across the JSON and wire
+# codecs and balanced over 2, 4 and 16 shards (shard placement is part of
+# what this wall pins).
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash' \
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash|FuzzQueryHash|TestQueryHashBalance' \
 		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim ./internal/route
 
 # Golden-table regression: regenerate the committed paper tables (via

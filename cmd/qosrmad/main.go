@@ -86,7 +86,7 @@ func main() {
 		cores        = flag.Int("cores", 4, "cores per machine (when building the database)")
 		dbPath       = flag.String("db", "", "load a compiled database instead of building one (also the SIGHUP reload source)")
 		shards       = flag.Int("shards", 0, "decision shards (0 = GOMAXPROCS, capped at 16)")
-		batch        = flag.Int("batch", 0, "shard micro-batch size (0 = default 64)")
+		batch        = flag.Int("batch", 0, "shard micro-batch size in queued requests (0 = default 64)")
 		cache        = flag.Int("cache", 0, "per-shard decision-LRU entries (0 = default 4096, negative disables)")
 		auditEvery   = flag.Duration("audit-interval", time.Minute, "self-checker period (0 disables periodic audits)")
 		auditSamples = flag.Int("audit-samples", 0, "cached decisions re-verified per audit (0 = default 16)")

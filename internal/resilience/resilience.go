@@ -129,7 +129,8 @@ type BreakerOptions struct {
 	OnStateChange func(from, to BreakerState)
 }
 
-func (o BreakerOptions) withDefaults() BreakerOptions {
+// WithDefaults returns o with every unset field at its default.
+func (o BreakerOptions) WithDefaults() BreakerOptions {
 	if o.Threshold <= 0 {
 		o.Threshold = 5
 	}
@@ -162,7 +163,7 @@ type Breaker struct {
 
 // NewBreaker builds a breaker with the options' defaults applied.
 func NewBreaker(opt BreakerOptions) *Breaker {
-	return &Breaker{opt: opt.withDefaults()}
+	return &Breaker{opt: opt.WithDefaults()}
 }
 
 // transition moves the breaker to a new state, notifying the observer.

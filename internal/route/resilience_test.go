@@ -878,6 +878,144 @@ func TestWireProxyFailover(t *testing.T) {
 	}
 }
 
+// helloCountingBackend is a stub wire replica that counts the Hello
+// frames it receives. While up is false it answers every frame with an
+// Unavailable error, as a replica that is down would fail it; while up it
+// answers Hello with a Meta and every decide query as decided.
+func helloCountingBackend(t *testing.T, up *atomic.Bool, hellos *atomic.Int64) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := wire.Meta{DBHash: 42, NCores: 2, Benches: []wire.MetaBench{{ID: 1, Phases: 16, Name: "mcf"}}}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				r := wire.NewReader(c)
+				var (
+					req wire.DecideRequest
+					out []byte
+				)
+				for {
+					typ, payload, err := r.Next()
+					if err != nil {
+						return
+					}
+					if typ == wire.TypeHello {
+						hellos.Add(1)
+					}
+					switch {
+					case !up.Load():
+						out = wire.AppendError(out[:0], 0, wire.ErrCodeUnavailable, "down")
+					case typ == wire.TypeHello:
+						out = wire.AppendMeta(out[:0], &meta)
+					case wire.ParseDecideRequest(payload, &req) == nil:
+						out = wire.AppendDecideResponse(out[:0], &wire.DecideResponse{
+							Seq: req.Seq, NCores: req.NCores,
+							Decided:  make([]bool, req.Count()),
+							Settings: make([]wire.Setting, len(req.Apps)),
+						})
+					default:
+						out = wire.AppendError(out[:0], req.Seq, wire.ErrCodeMalformed, "bad frame")
+					}
+					if _, err := c.Write(out); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String()
+}
+
+// TestWireMetaSweepRemembered: while every wire replica is down, the
+// first wire decide sweeps them all with a Hello and fails, and later
+// decides and client Hellos reuse that failure until the wire breakers'
+// open cooldown has passed instead of each sweeping again. Once a
+// replica is back and the cooldown has passed, the next decide publishes
+// its Meta.
+func TestWireMetaSweepRemembered(t *testing.T) {
+	var (
+		up     atomic.Bool
+		hellos atomic.Int64
+		clock  atomic.Int64 // nanoseconds past the epoch
+	)
+	now := func() time.Time { return time.Unix(0, clock.Load()) }
+	const cooldown = time.Second
+	ring, _ := New([]Backend{{
+		Name:      "g0",
+		Addrs:     []string{"10.255.0.1:1", "10.255.0.2:1"},
+		WireAddrs: []string{helloCountingBackend(t, &up, &hellos), helloCountingBackend(t, &up, &hellos)},
+	}}, 0)
+	p := NewProxyWithOptions(ring, nil, Options{
+		Retries: -1,
+		// Breakers that never open: every sweep reaches every replica.
+		Breaker: resilience.BreakerOptions{Threshold: 1 << 20, Cooldown: cooldown, Clock: now},
+	})
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := p.ServeWire(ln)
+	c, err := net.Dial("tcp", wp.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := wire.NewReader(c)
+	exchange := func(frame []byte) byte {
+		t.Helper()
+		if _, err := c.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return typ
+	}
+	decide := wire.AppendDecideRequest(nil, wireTestRequest(1))
+
+	for i := 0; i < 5; i++ {
+		if typ := exchange(decide); typ != wire.TypeError {
+			t.Fatalf("decide %d with every replica down answered frame type %#x", i, typ)
+		}
+	}
+	if got := hellos.Load(); got != 2 {
+		t.Fatalf("5 decides with both replicas down sent %d Hellos, want 2 (one sweep)", got)
+	}
+	if typ := exchange(wire.AppendHello(nil)); typ != wire.TypeError || hellos.Load() != 2 {
+		t.Fatalf("client Hello within the cooldown answered %#x after %d backend Hellos, want an error and no sweep",
+			typ, hellos.Load())
+	}
+
+	up.Store(true)
+	if typ := exchange(decide); typ != wire.TypeDecideResponse || hellos.Load() != 2 {
+		t.Fatalf("decide within the cooldown answered %#x after %d backend Hellos, want an answer routed without a sweep",
+			typ, hellos.Load())
+	}
+	clock.Add(int64(cooldown))
+	if typ := exchange(decide); typ != wire.TypeDecideResponse || hellos.Load() != 3 {
+		t.Fatalf("decide after the cooldown answered %#x after %d backend Hellos, want an answer and one more Hello",
+			typ, hellos.Load())
+	}
+	if typ := exchange(wire.AppendHello(nil)); typ != wire.TypeMeta {
+		t.Fatalf("client Hello after the sweep answered %#x, want the published Meta", typ)
+	}
+	if typ := exchange(decide); typ != wire.TypeDecideResponse || hellos.Load() != 3 {
+		t.Fatalf("decide with Meta published answered %#x after %d backend Hellos, want no further sweep",
+			typ, hellos.Load())
+	}
+}
+
 // TestWireForwardAllocs pins the warm wire forward at zero allocations:
 // splitting, the failover core and its per-attempt callback, the pooled
 // round trip and the merge. The fake backends reuse their scratch, so

@@ -40,15 +40,25 @@ type WireProxy struct {
 	cancel context.CancelFunc
 	pools  []*wirePool // parallel to p.replicas; nil = no wire listener
 
-	metaMu sync.Mutex // serializes the Meta fetch
-	meta   atomic.Pointer[wireMeta]
-	dials  *ops.Counter
+	metaMu   sync.Mutex // serializes the Meta fetch
+	meta     atomic.Pointer[wireMeta]
+	metaFail atomic.Pointer[metaFailure]
+	cooldown time.Duration    // the wire breakers' open cooldown
+	now      func() time.Time // the wire breakers' clock
+	dials    *ops.Counter
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// metaFailure is a failed Hello sweep, remembered until retry so that
+// decides and Hellos arriving meanwhile do not each sweep again.
+type metaFailure struct {
+	err   error
+	retry time.Time
 }
 
 // wirePool is one replica's wire-connection pool: idle connections are
@@ -117,6 +127,8 @@ func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
 		conns: make(map[net.Conn]struct{}),
 	}
 	wp.ctx, wp.cancel = context.WithCancel(context.Background())
+	bopt := p.opt.Breaker.WithDefaults()
+	wp.cooldown, wp.now = bopt.Cooldown, bopt.Clock
 	wp.lane.build(p, func(rep *replica) bool { return rep.wireAddr != "" })
 	for _, ri := range wp.all {
 		wp.pools[ri] = &wirePool{addr: p.replicas[ri].wireAddr}
@@ -356,7 +368,8 @@ func (wp *WireProxy) handleDecide(dst []byte, payload []byte, req *wire.DecideRe
 //
 //qosrma:noalloc
 func (wp *WireProxy) place(m *mergeState, req *wire.DecideRequest) (int, bool) {
-	// Benchmark names for the canonical routing key come from Meta.
+	// Benchmark names for the canonical routing key come from Meta; while
+	// none is published, the "#id" names stand in.
 	meta, _ := wp.ensureMeta() //nolint:errcheck // "#id" names stand in
 	m.hashes, m.prefix = wireKeyHashes(m.hashes[:0], m.prefix[:0], req, meta)
 	for g := range m.groups {
@@ -396,18 +409,20 @@ func (wp *WireProxy) forward(g int, frame []byte, respBuf []byte) (typ byte, res
 	return typ, resp, err
 }
 
-// ensureMeta returns the published Meta, fetching it with a Hello when
-// none is published yet: through the failover core, one attempt per wire
-// replica of any group, off the forward counters. The benchmark table it
-// carries also feeds the canonical routing key.
+// ensureMeta returns the published Meta, fetching it with a Hello sweep
+// when none is published yet: through the failover core, one attempt per
+// wire replica of any group, off the forward counters. The benchmark
+// table it carries also feeds the canonical routing key. A failed sweep
+// is remembered for the wire breakers' open cooldown: until then
+// ensureMeta returns its error at once instead of sweeping again.
 func (wp *WireProxy) ensureMeta() (*wireMeta, error) {
-	if meta := wp.meta.Load(); meta != nil {
-		return meta, nil
+	if meta, err := wp.knownMeta(); meta != nil || err != nil {
+		return meta, err
 	}
 	wp.metaMu.Lock()
 	defer wp.metaMu.Unlock()
-	if meta := wp.meta.Load(); meta != nil {
-		return meta, nil
+	if meta, err := wp.knownMeta(); meta != nil || err != nil {
+		return meta, err
 	}
 	hello := wire.AppendHello(nil)
 	var meta *wireMeta
@@ -422,10 +437,23 @@ func (wp *WireProxy) ensureMeta() (*wireMeta, error) {
 		return err
 	})
 	if err != nil {
+		wp.metaFail.Store(&metaFailure{err: err, retry: wp.now().Add(wp.cooldown)})
 		return nil, err
 	}
 	wp.meta.Store(meta)
 	return meta, nil
+}
+
+// knownMeta returns the published Meta, or the last failed sweep's error
+// until its retry time; both nil mean a sweep is due.
+func (wp *WireProxy) knownMeta() (*wireMeta, error) {
+	if meta := wp.meta.Load(); meta != nil {
+		return meta, nil
+	}
+	if f := wp.metaFail.Load(); f != nil && wp.now().Before(f.retry) {
+		return nil, f.err
+	}
+	return nil, nil
 }
 
 // wireSchemeNames maps interned scheme IDs to the canonical lowercased

@@ -1,15 +1,19 @@
 // Decision path of the service: /v1/decide requests are parsed and
-// validated on the handler goroutine against the current snapshot, then
-// routed — one task per query — to a shard picked by hashing the query's
-// canonical co-phase key. Each shard runs one worker goroutine that
-// drains its queue in micro-batches and owns everything the hot path
-// touches: the decision LRU, the per-configuration managers with their
-// reusable curve buffers, and the per-core IntervalStats scratch. Nothing
-// on the compute path locks or allocates beyond the response itself, and
-// because every query's curves are rebuilt from its own statistics
-// (core.Manager.DecideAll), answers are bit-identical to direct library
-// calls regardless of shard count, batch size, cache state or arrival
-// order — the service's central invariant, pinned by
+// validated on the handler goroutine against the current snapshot, and
+// each resolved query carries one 64-bit hash of its manager
+// configuration and co-phase vector (queryHash). The hash's high bits
+// pick the owning shard; decideInto then sends each shard the batch
+// touches one task carrying the whole batch, and the shard's worker
+// answers only the queries it owns. Each shard runs one worker goroutine
+// that drains its queue in micro-batches and owns everything the hot
+// path touches: the decision LRU (keyed by the same hash, and checking
+// the query itself on a hit), the per-configuration managers with their
+// reusable curve buffers, and the per-core IntervalStats scratch.
+// Nothing on the compute path locks or allocates beyond the response
+// itself, and because every query's curves are rebuilt from its own
+// statistics (core.Manager.DecideAll), answers are bit-identical to
+// direct library calls regardless of shard count, batch size, cache
+// state or arrival order — the service's central invariant, pinned by
 // TestDecideMatchesLibrary and TestConcurrentDecideDeterministic, and
 // continuously re-verified in production by the self-checker (audit.go).
 //
@@ -112,24 +116,37 @@ func (a decideResult) equal(b decideResult) bool {
 }
 
 // decideQuery is a validated, resolved query: benchmarks interned, the
-// manager configuration canonicalized, and the routing/cache key built.
-// The key is bytes, not a string, so the wire path can stage it in
-// connection-owned scratch and the cache hit path never materializes a
-// string (map lookups convert without allocating).
+// manager configuration canonicalized, and its hash h computed
+// (queryHash). h picks the shard and keys the LRU; the query itself,
+// not h, is what a cache hit must match.
 type decideQuery struct {
 	cfg    managerKey
 	slack  []float64 // nil for zero slack
 	ids    []simdb.BenchID
 	phases []int
-	key    []byte
+	h      uint64
+}
+
+// same reports whether p asks what q asks: the same manager
+// configuration over the same co-phase vector. The slack vector needs no
+// comparison, as cfg.slackKey renders it exactly.
+func (q *decideQuery) same(p *decideQuery) bool {
+	if q.cfg != p.cfg || len(q.ids) != len(p.ids) {
+		return false
+	}
+	for i, id := range q.ids {
+		if id != p.ids[i] || q.phases[i] != p.phases[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // clone deep-copies the query so it can outlive the buffers it was
 // resolved into — what the cache does before retaining a wire-path query
-// whose slices alias per-connection scratch. The key is not copied: a
-// cached entry owns its key as a string.
+// whose slices alias per-connection scratch.
 func (q *decideQuery) clone() *decideQuery {
-	c := &decideQuery{cfg: q.cfg}
+	c := &decideQuery{cfg: q.cfg, h: q.h}
 	if q.slack != nil {
 		c.slack = append([]float64(nil), q.slack...)
 	}
@@ -147,22 +164,31 @@ type managerKey struct {
 	slackKey string
 }
 
-// task is one unit of work in flight through a shard: a decide query
-// (q/res/wg set) or a self-audit request (audit set). Every decide query
-// is resolved into request- or connection-owned scratch (a resolver), so
-// the worker clones it before the cache may retain it.
+// task is one unit of work in flight through a shard: a decide batch
+// (batch set) or a self-audit request (audit set).
 type task struct {
-	q     *decideQuery
-	sn    *snapshot
-	res   *decideResult
-	wg    *sync.WaitGroup
+	batch *fanout
 	audit *auditTask
+}
+
+// fanout is one decide request in flight: every shard the batch touches
+// receives a task pointing here, answers the queries it owns into the
+// index-aligned results and calls wg.Done once. Each resolver owns one
+// and reuses it for every request of its stream, so a fan-out allocates
+// nothing. The queries alias the resolver's arenas, so the worker clones
+// one before the cache may retain it.
+type fanout struct {
+	sn      *snapshot
+	queries []*decideQuery
+	results []decideResult
+	wg      sync.WaitGroup
 }
 
 // shard owns a partition of the decision key space.
 type shard struct {
 	srv *Server
 	ch  chan task
+	idx int // position in Server.shards: owns the queries shardIndex maps here
 
 	// sn is the snapshot the shard-local state below was derived from;
 	// only the worker touches it after construction.
@@ -178,11 +204,13 @@ type shard struct {
 	statPtrs []*core.IntervalStats
 
 	// Counters, read by healthz and /metrics concurrently with the worker.
-	tasks      atomic.Uint64
+	tasks      atomic.Uint64 // decide queries answered
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	admRejects atomic.Uint64
-	batches    atomic.Uint64
+	batches    atomic.Uint64 // worker wakeups
+	managers   atomic.Int64  // live entries of mgrs
+	mgrResets  atomic.Uint64 // times a full mgrs was emptied
 }
 
 // adopt rebuilds the shard-local derived state for a snapshot: a fresh
@@ -193,6 +221,7 @@ func (sh *shard) adopt(sn *snapshot) {
 	sh.sn = sn
 	sh.lru = newLRU(sh.srv.opt.CacheSize)
 	sh.mgrs = make(map[managerKey]*core.Manager, 8)
+	sh.managers.Store(0)
 	sh.stats = make([]core.IntervalStats, n)
 	sh.statPtrs = make([]*core.IntervalStats, n)
 }
@@ -254,19 +283,20 @@ func parseModel(model int, scheme core.Scheme) (core.ModelKind, error) {
 // scratch embed one. It owns the arenas resolved queries live in (their
 // slices alias it, which is why shards clone before caching) and
 // memoizes the manager configuration across consecutive queries, so the
-// canonical slack key is rendered once per distinct (scheme, model,
-// slack) configuration rather than once per query.
+// canonical slack key and the configuration's hash seed are computed
+// once per distinct (scheme, model, slack) configuration rather than
+// once per query.
 //
 //qosrma:shardowned
 type resolver struct {
-	queries []decideQuery  // query arena; each entry keeps its key buffer
-	qptrs   []*decideQuery // fan-out view over the arena
-	results []decideResult
+	queries []decideQuery // query arena
+	fan     fanout        // pointers into the arena, and their answers
 	ids     []simdb.BenchID
 	phases  []int
 	slack   []float64
 
 	cfg      managerKey
+	cfgSeed  uint64 // configSeed(cfg)
 	cfgSlack []float64
 	cfgHasSl bool
 	cfgValid bool
@@ -278,39 +308,41 @@ type resolver struct {
 //qosrma:noalloc
 func (rs *resolver) prepare(count, apps, slack int) {
 	rs.queries = grow(rs.queries, count)
-	rs.qptrs = grow(rs.qptrs, count)
-	rs.results = grow(rs.results, count)
+	rs.fan.queries = grow(rs.fan.queries, count)
+	rs.fan.results = grow(rs.fan.results, count)
 	rs.ids = grow(rs.ids, apps)
 	rs.phases = grow(rs.phases, apps)
 	rs.slack = grow(rs.slack, slack)
 }
 
-// config returns the manager configuration of (scheme, model, slack),
-// rendering the slack key only when it differs from the previous call's.
+// config makes (scheme, model, slack) the configuration later set calls
+// store, rendering the slack key and computing the hash seed only when
+// it differs from the previous call's.
 //
 //qosrma:noalloc
-func (rs *resolver) config(scheme core.Scheme, model core.ModelKind, slack []float64) managerKey {
+func (rs *resolver) config(scheme core.Scheme, model core.ModelKind, slack []float64) {
 	if !rs.cfgValid || scheme != rs.cfg.scheme || model != rs.cfg.model ||
 		!slackEqual(slack, rs.cfgSlack, rs.cfgHasSl) {
 		rs.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
+		rs.cfgSeed = configSeed(rs.cfg)
 		rs.cfgSlack = append(rs.cfgSlack[:0], slack...)
 		rs.cfgHasSl = slack != nil
 		rs.cfgValid = true
 	}
-	return rs.cfg
 }
 
-// set stores resolved query qi and builds its canonical key.
+// set stores resolved query qi under the current configuration and
+// hashes it.
 //
 //qosrma:noalloc
-func (rs *resolver) set(qi int, cfg managerKey, slack []float64, ids []simdb.BenchID, phases []int) {
+func (rs *resolver) set(qi int, slack []float64, ids []simdb.BenchID, phases []int) {
 	q := &rs.queries[qi]
-	q.cfg = cfg
+	q.cfg = rs.cfg
 	q.slack = slack
 	q.ids = ids
 	q.phases = phases
-	q.key = appendQueryKey(q.key[:0], cfg, ids, phases)
-	rs.qptrs[qi] = q
+	q.h = queryHash(rs.cfgSeed, ids, phases)
+	rs.fan.queries[qi] = q
 }
 
 // checkSlack rejects negative slack entries (both codecs).
@@ -337,8 +369,8 @@ func slackEqual(slack, prev []float64, hasPrev bool) bool {
 	return true
 }
 
-// grow returns s resized to n, reusing its capacity. A reallocation keeps
-// the old elements, so a query arena's entries keep their key buffers.
+// grow returns s resized to n, reusing its capacity and keeping the old
+// elements.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		ns := make([]T, n)
@@ -350,7 +382,7 @@ func grow[T any](s []T, n int) []T {
 
 // slackKeyOf renders the canonical slack-vector key ("" for all-zero) —
 // one rendering shared by the JSON and wire paths, so both resolve to
-// the same manager pool entries and cache keys.
+// the same manager pool entries and query hashes.
 func slackKeyOf(slack []float64) string {
 	if slack == nil {
 		return ""
@@ -362,30 +394,57 @@ func slackKeyOf(slack []float64) string {
 	return strings.Join(parts, ",")
 }
 
-// appendQueryKey appends the canonical routing/cache key of one resolved
-// query. JSON and wire queries with the same semantics produce the same
-// bytes: that is what lets the two codecs share shard placement, cached
-// decisions and audit coverage.
-func appendQueryKey(dst []byte, cfg managerKey, ids []simdb.BenchID, phases []int) []byte {
-	dst = strconv.AppendInt(dst, int64(cfg.scheme), 10)
-	dst = append(dst, '/')
-	dst = strconv.AppendInt(dst, int64(cfg.model), 10)
-	dst = append(dst, '/')
-	dst = append(dst, cfg.slackKey...)
-	for i, id := range ids {
-		dst = append(dst, '|')
-		dst = strconv.AppendInt(dst, int64(id), 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(phases[i]), 10)
-	}
-	return dst
+// Query hashing. A query's hash is a function of its manager
+// configuration and co-phase vector only, with a fixed seed, so both
+// codecs, every process and every run place a query on the same shard.
+// The configuration part (configSeed) is computed once per distinct
+// configuration; queryHash continues it over the cores one word each.
+// Equal hashes do not imply equal queries: the LRU checks the query.
+const (
+	hashSeed = 0x9e3779b97f4a7c15 // 2^64 / golden ratio
+	hashMul  = 0xbf58476d1ce4e5b9 // splitmix64 multipliers
+	hashMul2 = 0x94d049bb133111eb
+)
+
+// hashWord folds one 64-bit word into h: xor, multiply, xor-shift.
+func hashWord(h, w uint64) uint64 {
+	h = (h ^ w) * hashMul
+	return h ^ h>>31
 }
 
-// shardOf routes a canonical key to its owning shard. The inlined
-// keyHash replaces the old hash.Hash32 construction, which allocated on
-// every fan-out.
-func (s *Server) shardOf(key []byte) *shard {
-	return s.shards[uint32(keyHash(key))%uint32(len(s.shards))]
+// configSeed hashes a manager configuration: scheme, model and the
+// slack key's bytes, eight to a word, then their count.
+func configSeed(cfg managerKey) uint64 {
+	h := hashWord(hashSeed, uint64(cfg.scheme)<<32|uint64(uint32(cfg.model)))
+	key := cfg.slackKey
+	var w uint64
+	for i := 0; i < len(key); i++ {
+		w |= uint64(key[i]) << (8 * (i % 8))
+		if i%8 == 7 {
+			h, w = hashWord(h, w), 0
+		}
+	}
+	return hashWord(hashWord(h, w), uint64(len(key)))
+}
+
+// queryHash continues a configuration seed over each core's (benchmark,
+// phase) pair and finishes with the splitmix64 avalanche, so every input
+// bit reaches the high bits shardIndex reads.
+func queryHash(seed uint64, ids []simdb.BenchID, phases []int) uint64 {
+	h := seed
+	for i, id := range ids {
+		h = hashWord(h, uint64(id)<<32|uint64(uint32(phases[i])))
+	}
+	h = (h ^ h>>30) * hashMul
+	h = (h ^ h>>27) * hashMul2
+	return h ^ h>>31
+}
+
+// shardIndex maps a query hash to one of n shards by its high 32 bits
+// (multiply-shift range reduction), leaving the low bits, which the
+// admission filter probes with, independent of the shard.
+func shardIndex(h uint64, n int) int {
+	return int((h >> 32) * uint64(n) >> 32)
 }
 
 // FillOracleStats fills st with the perfect interval statistics of one
@@ -432,9 +491,11 @@ func (sh *shard) manager(q *decideQuery) *core.Manager {
 	if !ok {
 		if len(sh.mgrs) == managerLimit {
 			clear(sh.mgrs)
+			sh.mgrResets.Add(1)
 		}
 		m = newManager(sh.sn, q)
 		sh.mgrs[q.cfg] = m
+		sh.managers.Store(int64(len(sh.mgrs)))
 	}
 	return m
 }
@@ -488,8 +549,9 @@ func baselineSettings(db *simdb.DB) []arch.Setting {
 	return settings
 }
 
-// process answers one task: dispatching audits, adopting newer snapshots,
-// and serving decide queries from the cache or by computing.
+// process answers one task: dispatching audits, adopting newer
+// snapshots, and answering the queries of a decide batch this shard owns
+// from the cache or by computing. The counters move once per task.
 //
 //qosrma:noalloc
 func (sh *shard) process(t task) {
@@ -497,35 +559,49 @@ func (sh *shard) process(t task) {
 		sh.runAudit(t.audit)
 		return
 	}
-	sh.tasks.Add(1)
-	if t.sn != sh.sn {
-		if t.sn.gen > sh.sn.gen {
-			sh.adopt(t.sn)
+	f := t.batch
+	// A batch that resolved against a snapshot swapped out while it
+	// queued must still be answered from that snapshot (no torn
+	// responses), so it is computed fresh and the cache — which now
+	// encodes the newer database — is left untouched.
+	stale := false
+	if f.sn != sh.sn {
+		if f.sn.gen > sh.sn.gen {
+			sh.adopt(f.sn)
 		} else {
-			// The request resolved against a snapshot that was swapped out
-			// while it queued. Its answer must still come from that snapshot
-			// (no torn responses), so compute fresh and leave the cache —
-			// which now encodes the newer database — untouched.
-			*t.res = computeFresh(t.sn, t.q)
-			t.wg.Done()
-			return
+			stale = true
 		}
 	}
-	h := keyHash(t.q.key)
-	if res, ok := sh.lru.get(t.q.key, h); ok {
-		sh.hits.Add(1)
-		*t.res = res
-	} else {
-		sh.misses.Add(1)
-		res := sh.compute(t.q)
-		if sh.lru.admit(h) {
-			sh.lru.add(t.q.key, h, t.q.clone(), res)
+	var owned, hits, misses, rejects uint64
+	n := len(sh.srv.shards)
+	for i, q := range f.queries {
+		if shardIndex(q.h, n) != sh.idx {
+			continue
+		}
+		owned++
+		if stale {
+			f.results[i] = computeFresh(f.sn, q)
+			continue
+		}
+		if res, ok := sh.lru.get(q); ok {
+			hits++
+			f.results[i] = res
+			continue
+		}
+		misses++
+		res := sh.compute(q)
+		if sh.lru.admit(q.h) {
+			sh.lru.add(q.clone(), res)
 		} else if sh.srv.opt.CacheSize > 0 {
-			sh.admRejects.Add(1)
+			rejects++
 		}
-		*t.res = res
+		f.results[i] = res
 	}
-	t.wg.Done()
+	sh.tasks.Add(owned)
+	sh.hits.Add(hits)
+	sh.misses.Add(misses)
+	sh.admRejects.Add(rejects)
+	f.wg.Done()
 }
 
 // run is the shard worker: it blocks for one task, then drains up to a
@@ -551,31 +627,43 @@ func (sh *shard) run() {
 	}
 }
 
-// decideInto answers a batch of resolved queries by fanning them out to
-// their shards and awaiting completion: results[i] receives the answer to
-// queries[i]. Both codecs call it with resolver-owned storage, which is
-// what keeps a steady-state decision free of per-request allocation
-// beyond the fan-out's WaitGroup. The read lock pairs with Close's write
-// lock: while any fan-out holds it the workers cannot be stopped, so an
-// accepted task is always drained and wg.Wait cannot strand the caller;
-// after Close, requests fail fast instead of queueing into dead shards.
-// Draining is the callers' business: HTTP refuses new work, while a wire
-// frame already read is answered (Shutdown waits for the wire loops
-// before it closes).
-func (s *Server) decideInto(sn *snapshot, queries []*decideQuery, results []decideResult) error {
+// decideInto answers the batch of resolved queries in f against sn by
+// fanning it out to the queries' shards and awaiting completion:
+// f.results[i] receives the answer to f.queries[i]. Each shard the batch
+// touches receives one task carrying the whole batch. Both codecs call
+// it with their resolver's fanout, which is what keeps a steady-state
+// decision free of per-request allocation. The read lock pairs with
+// Close's write lock: while any fan-out holds it the workers cannot be
+// stopped, so an accepted task is always drained and wg.Wait cannot
+// strand the caller; after Close, requests fail fast instead of queueing
+// into dead shards. Draining is the callers' business: HTTP refuses new
+// work, while a wire frame already read is answered (Shutdown waits for
+// the wire loops before it closes).
+func (s *Server) decideInto(sn *snapshot, f *fanout) error {
 	start := time.Now()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {
 		return errServerClosed
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(queries))
-	for i, q := range queries {
-		s.shardOf(q.key).ch <- task{q: q, sn: sn, res: &results[i], wg: &wg}
+	// Shard i is marked by bit i mod 64: past 64 shards one bit stands
+	// for several shards, each of which scans the batch for its own
+	// queries and may find none.
+	var touched uint64
+	n := len(s.shards)
+	for _, q := range f.queries {
+		touched |= 1 << (shardIndex(q.h, n) & 63)
 	}
-	wg.Wait()
+	f.sn = sn
+	for i, sh := range s.shards {
+		if touched&(1<<(i&63)) != 0 {
+			f.wg.Add(1)
+			sh.ch <- task{batch: f}
+		}
+	}
+	f.wg.Wait()
+	f.sn = nil // an idle stream must not pin a swapped-out snapshot
 	s.metrics.decideSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.decideBatch.Observe(float64(len(queries)))
+	s.metrics.decideBatch.Observe(float64(len(f.queries)))
 	return nil
 }

@@ -112,11 +112,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, errDraining)
 		return
 	}
-	if err := s.decideInto(sn, sc.qptrs, sc.results); err != nil {
+	if err := s.decideInto(sn, &sc.fan); err != nil {
 		writeUnavailable(w, err)
 		return
 	}
-	sc.out = sn.appendDecideJSON(sc.out[:0], sc.results, single)
+	sc.out = sn.appendDecideJSON(sc.out[:0], sc.fan.results, single)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.out) //nolint:errcheck // client gone; nothing to report to
@@ -228,7 +228,8 @@ func (sc *jsonScratch) resolveOne(db *simdb.DB, qi int, jq *jsonQuery) error {
 		ids[i] = id
 		phases[i] = app.phase
 	}
-	rs.set(qi, rs.config(scheme, model, slack), slack, ids, phases)
+	rs.config(scheme, model, slack)
+	rs.set(qi, slack, ids, phases)
 	return nil
 }
 

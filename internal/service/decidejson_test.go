@@ -23,7 +23,7 @@ import (
 // oracle the served bytes are compared against.
 
 // resolveQueryRef validates one decoded query against the snapshot and
-// builds its canonical routing/cache key.
+// hashes it.
 func resolveQueryRef(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 	db := sn.db
 	n := db.Sys.NumCores
@@ -74,7 +74,7 @@ func resolveQueryRef(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 		rq.phases[i] = app.Phase
 	}
 	rq.cfg = managerKey{scheme: scheme, model: model, slackKey: slackKeyOf(slack)}
-	rq.key = appendQueryKey(make([]byte, 0, 64), rq.cfg, rq.ids, rq.phases)
+	rq.h = queryHash(configSeed(rq.cfg), rq.ids, rq.phases)
 	return rq, nil
 }
 
@@ -135,7 +135,7 @@ func (s *Server) referenceDecide(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	results := make([]decideResult, len(queries))
-	if err := s.decideInto(sn, queries, results); err != nil {
+	if err := s.decideInto(sn, &fanout{queries: queries, results: results}); err != nil {
 		writeUnavailable(w, err)
 		return
 	}
@@ -317,10 +317,10 @@ func TestDecideJSONSteadyStateAllocs(t *testing.T) {
 			if err := srv.resolveJSON(sn, &sc); err != nil {
 				t.Fatal(err)
 			}
-			sc.out = sn.appendDecideJSON(sc.out[:0], sc.results, false)
+			sc.out = sn.appendDecideJSON(sc.out[:0], sc.fan.results, false)
 		}
 		run()
-		if err := srv.decideInto(sn, sc.qptrs, sc.results); err != nil {
+		if err := srv.decideInto(sn, &sc.fan); err != nil {
 			t.Fatal(err)
 		}
 		run()
@@ -358,9 +358,11 @@ func pinJSONHelpers(t *testing.T, sn *snapshot, sc *jsonScratch, body []byte) {
 		{"resolveOne", func() bool { return sc.resolveOne(sn.db, 0, &q0) == nil }},
 		{"prepare", func() bool { rs.prepare(64, 64*n, 64*n); return true }},
 		{"config", func() bool {
-			return rs.config(rs.cfg.scheme, rs.cfg.model, sc.floats[q0.slacks.lo:q0.slacks.hi]) == rs.cfg
+			cfg := rs.cfg
+			rs.config(cfg.scheme, cfg.model, sc.floats[q0.slacks.lo:q0.slacks.hi])
+			return rs.cfg == cfg
 		}},
-		{"set", func() bool { rs.set(0, rs.cfg, rs.slack[:n], rs.ids[:n], rs.phases[:n]); return true }},
+		{"set", func() bool { rs.set(0, rs.slack[:n], rs.ids[:n], rs.phases[:n]); return true }},
 	} {
 		if !h.fn() {
 			t.Fatalf("%s failed on warm scratch", h.name)

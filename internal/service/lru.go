@@ -2,14 +2,11 @@ package service
 
 import "container/list"
 
-// lruEntry is one cached decision. The resolved query is retained
-// alongside the result so the self-checker can recompute a cached answer
-// from scratch and compare; h is the key's 64-bit hash, kept so the
-// admission filter can estimate the eviction victim's frequency without
-// rehashing.
+// lruEntry is one cached decision, keyed by its query's hash q.h. The
+// resolved query is retained alongside the result: a hit must match it
+// (equal hashes do not imply equal queries), and the self-checker
+// recomputes a cached answer from it to compare.
 type lruEntry struct {
-	key string
-	h   uint64
 	q   *decideQuery
 	res decideResult
 }
@@ -28,7 +25,7 @@ type lruEntry struct {
 type lru struct {
 	cap   int
 	order *list.List               // front = most recent
-	byKey map[string]*list.Element // -> *lruEntry
+	byKey map[uint64]*list.Element // query hash -> *lruEntry
 	adm   admission
 }
 
@@ -36,7 +33,7 @@ func newLRU(capacity int) *lru {
 	l := &lru{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[string]*list.Element, max(capacity, 0)),
+		byKey: make(map[uint64]*list.Element, max(capacity, 0)),
 	}
 	if capacity > 0 {
 		l.adm.init(capacity)
@@ -44,35 +41,23 @@ func newLRU(capacity int) *lru {
 	return l
 }
 
-// keyHash is the shared 64-bit key hash (FNV-1a, inlined so the hot path
-// neither allocates a hash.Hash nor copies the key): it routes queries to
-// shards and feeds the admission filter's probe derivation.
-func keyHash(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// get returns the cached decision, marks it most recently used and
+// get returns the cached decision for q, marks it most recently used and
 // records the access in the admission filter's frequency sketch (a hot
 // key's estimate must keep growing, or the filter would evict-protect
-// stale entries). The key may alias a transient buffer: the map lookup
-// does not retain it.
-func (l *lru) get(key []byte, h uint64) (decideResult, bool) {
-	el, ok := l.byKey[string(key)]
+// stale entries). An entry under q's hash that holds another query is a
+// miss. q may alias a transient buffer: the lookup does not retain it.
+func (l *lru) get(q *decideQuery) (decideResult, bool) {
+	el, ok := l.byKey[q.h]
 	if !ok {
 		return decideResult{}, false
 	}
-	l.adm.record(h)
+	e := el.Value.(*lruEntry)
+	if !e.q.same(q) {
+		return decideResult{}, false
+	}
+	l.adm.record(q.h)
 	l.order.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return e.res, true
 }
 
 // admit decides whether a just-computed decision should enter the cache,
@@ -93,30 +78,30 @@ func (l *lru) admit(h uint64) bool {
 		return false
 	}
 	victim := l.order.Back().Value.(*lruEntry)
-	return l.adm.estimate(h) >= l.adm.estimate(victim.h)
+	return l.adm.estimate(h) >= l.adm.estimate(victim.q.h)
 }
 
-// add inserts or updates a decision, evicting the least recently used
-// entry when a new key arrives at capacity. A key that is already
-// present is updated in place and marked most recently used — callers
-// need not guarantee absence.
-func (l *lru) add(key []byte, h uint64, q *decideQuery, res decideResult) {
+// add inserts or updates the decision for q, which the cache retains,
+// evicting the least recently used entry when a new hash arrives at
+// capacity. An entry already under q's hash — the same query, or another
+// one that collides — is replaced in place and marked most recently
+// used, so callers need not guarantee absence.
+func (l *lru) add(q *decideQuery, res decideResult) {
 	if l.cap <= 0 {
 		return
 	}
-	if el, ok := l.byKey[string(key)]; ok {
+	if el, ok := l.byKey[q.h]; ok {
 		e := el.Value.(*lruEntry)
-		e.q, e.res, e.h = q, res, h
+		e.q, e.res = q, res
 		l.order.MoveToFront(el)
 		return
 	}
 	if l.order.Len() >= l.cap {
 		back := l.order.Back()
-		delete(l.byKey, back.Value.(*lruEntry).key)
+		delete(l.byKey, back.Value.(*lruEntry).q.h)
 		l.order.Remove(back)
 	}
-	k := string(key) // the entry owns a stable copy of the key
-	l.byKey[k] = l.order.PushFront(&lruEntry{key: k, h: h, q: q, res: res})
+	l.byKey[q.h] = l.order.PushFront(&lruEntry{q: q, res: res})
 }
 
 // each visits cached entries in Go's randomized map order — which is what
@@ -173,7 +158,7 @@ func (a *admission) init(cap int) {
 	}
 }
 
-// probe derives the i-th probe index from the key hash (double hashing:
+// probe derives the i-th probe index from the query hash (double hashing:
 // low word stepped by the odd-ified high word).
 func (a *admission) probe(h uint64, i, mask uint32) uint32 {
 	return (uint32(h) + i*(uint32(h>>32)|1)) & mask

@@ -2,27 +2,34 @@ package service
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
 // res builds a distinguishable dummy result.
 func res(decided bool) decideResult { return decideResult{decided: decided} }
 
-// put computes the key hash and admits+adds unconditionally via the
-// public surface, the way the shard worker does on a miss.
+// keyQuery builds a distinguishable dummy query named key: the name is
+// its slack key, and its hash is the name's FNV-1a.
+func keyQuery(key string) *decideQuery {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return &decideQuery{cfg: managerKey{slackKey: key}, h: h.Sum64()}
+}
+
+// put admits+adds the query named key via the public surface, the way
+// the shard worker does on a miss.
 func put(l *lru, key string, r decideResult) (admitted bool) {
-	k := []byte(key)
-	h := keyHash(k)
-	if l.admit(h) {
-		l.add(k, h, &decideQuery{}, r)
+	q := keyQuery(key)
+	if l.admit(q.h) {
+		l.add(q, r)
 		return true
 	}
 	return false
 }
 
 func getKey(l *lru, key string) (decideResult, bool) {
-	k := []byte(key)
-	return l.get(k, keyHash(k))
+	return l.get(keyQuery(key))
 }
 
 // TestLRUGetAddEvict: plain cache mechanics below and at capacity —
@@ -68,14 +75,12 @@ func TestLRUAddUpdatesInPlace(t *testing.T) {
 	l := newLRU(2)
 	put(l, "a", res(false))
 	put(l, "b", res(false))
-	k := []byte("a")
-	h := keyHash(k)
-	q2 := &decideQuery{}
-	l.add(k, h, q2, res(true))
+	q2 := keyQuery("a")
+	l.add(q2, res(true))
 	if l.len() != 2 {
 		t.Fatalf("len %d after duplicate add, want 2", l.len())
 	}
-	got, ok := l.get(k, h)
+	got, ok := l.get(q2)
 	if !ok || !got.decided {
 		t.Fatalf("got %+v, want the updated result", got)
 	}
@@ -92,7 +97,7 @@ func TestLRUAddUpdatesInPlace(t *testing.T) {
 	// The audit path must see the updated query pointer.
 	found := false
 	l.each(func(e *lruEntry) bool {
-		if e.key == "a" {
+		if e.q.cfg.slackKey == "a" {
 			found = e.q == q2
 		}
 		return true
@@ -111,7 +116,7 @@ func TestLRUEach(t *testing.T) {
 	}
 	seen := map[string]int{}
 	l.each(func(e *lruEntry) bool {
-		seen[e.key]++
+		seen[e.q.cfg.slackKey]++
 		return true
 	})
 	if len(seen) != 5 {

@@ -77,6 +77,12 @@ func (s *Server) initMetrics() {
 		r.CounterFunc("qosrmad_decide_batches_total",
 			"Shard worker wakeups (micro-batches drained), per shard.", lbl,
 			func() float64 { return float64(sh.batches.Load()) })
+		r.GaugeFunc("qosrmad_decide_managers",
+			"Manager configurations live in the shard's pool, per shard.", lbl,
+			func() float64 { return float64(sh.managers.Load()) })
+		r.CounterFunc("qosrmad_decide_manager_resets_total",
+			"Times a full manager pool was emptied to admit a new configuration, per shard.", lbl,
+			func() float64 { return float64(sh.mgrResets.Load()) })
 	}
 	r.GaugeFunc("qosrmad_decide_cache_hit_ratio",
 		"Fraction of all decide queries answered from cache (0 before any query).", "",

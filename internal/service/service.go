@@ -9,10 +9,10 @@
 // (/admin/check), and an operator status API (/admin/status).
 //
 // The decision path is sharded: queries hash to one of N shards by their
-// canonical co-phase key, and each shard's single worker owns its decision
-// LRU, its per-configuration managers (with their reusable curve buffers)
-// and its statistics scratch, so the hot path takes no locks and performs
-// no allocation beyond the response. Batching, sharding and caching are
+// manager configuration and co-phase vector, and each shard's single
+// worker owns its decision LRU, its per-configuration managers (with
+// their reusable curve buffers) and its statistics scratch, so the hot
+// path takes no locks and performs no allocation beyond the response. Batching, sharding and caching are
 // answer-invariant: the service is bit-identical to direct library calls,
 // and the self-checker continuously re-verifies that invariant in
 // production, degrading /v1/healthz to 503 when an audit fails.
@@ -45,13 +45,15 @@ type Options struct {
 	// Shards is the number of decision shards (default GOMAXPROCS, capped
 	// at 16: each shard is one worker goroutine plus its caches).
 	Shards int
-	// Batch is the micro-batch size: how many queued queries one shard
-	// wakeup drains before blocking again (default 64).
+	// Batch is the micro-batch size: how many queued tasks one shard
+	// wakeup drains before blocking again (default 64). A task is one
+	// request's share of the shard's queries.
 	Batch int
 	// CacheSize is the per-shard decision LRU capacity in entries
 	// (0 = default 4096, negative disables caching).
 	CacheSize int
-	// QueueDepth is the per-shard queue capacity (default 4 x Batch).
+	// QueueDepth is the per-shard queue capacity in tasks (default
+	// 4 x Batch).
 	QueueDepth int
 	// MaxBatch bounds the queries accepted in one HTTP request
 	// (default 1024).
@@ -198,7 +200,7 @@ func New(db *simdb.DB, engine *sweep.Engine, opt Options) *Server {
 	s.jobSem = make(chan struct{}, 1)
 	s.shards = make([]*shard, s.opt.Shards)
 	for i := range s.shards {
-		sh := &shard{srv: s, ch: make(chan task, s.opt.QueueDepth)}
+		sh := &shard{srv: s, idx: i, ch: make(chan task, s.opt.QueueDepth)}
 		sh.adopt(s.snap.Load())
 		s.shards[i] = sh
 		go sh.run()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -171,14 +172,17 @@ func TestDecideMatchesLibrary(t *testing.T) {
 // TestShardManagersBounded: clients choose the slack freely, so a shard
 // that meets 10× managerLimit distinct slacks keeps at most managerLimit
 // managers, and every answer equals a fresh library manager's — also on
-// a second lap, whose managers were emptied out and rebuilt.
+// a second lap, whose managers were emptied out and rebuilt. The
+// qosrmad_decide_managers gauge and qosrmad_decide_manager_resets_total
+// counter on /metrics report the pool size and every emptying.
 func TestShardManagersBounded(t *testing.T) {
 	srv, sh, _ := testShardQuery(t)
 	db := testDB(t)
 	sn := srv.snap.Load()
 	rng := stats.NewRNG(stats.SeedFrom(11, "service/manager-bound"))
-	distinct, decided := 10*managerLimit, 0
+	distinct, decided, resets := 10*managerLimit, 0, 0
 	for i := 0; i < distinct+managerLimit; i++ {
+		pool := len(sh.mgrs)
 		s := float64(1+i%distinct) / 1000
 		dq := queryFor(db, rng, "rm2", s)
 		q, err := resolveQueryRef(sn, &dq)
@@ -188,6 +192,17 @@ func TestShardManagersBounded(t *testing.T) {
 		got := sh.compute(q)
 		if len(sh.mgrs) > managerLimit {
 			t.Fatalf("query %d: shard holds %d managers, bound %d", i, len(sh.mgrs), managerLimit)
+		}
+		if len(sh.mgrs) < pool {
+			resets++
+		}
+		if i%managerLimit == 0 || i == distinct+managerLimit-1 {
+			if got := scrapeMetric(t, srv, `qosrmad_decide_managers{shard="0"}`); got != float64(len(sh.mgrs)) {
+				t.Fatalf("query %d: managers gauge %v, pool holds %d", i, got, len(sh.mgrs))
+			}
+			if got := scrapeMetric(t, srv, `qosrmad_decide_manager_resets_total{shard="0"}`); got != float64(resets) {
+				t.Fatalf("query %d: manager resets counter %v, pool was emptied %d times", i, got, resets)
+			}
 		}
 		slack := make([]float64, db.Sys.NumCores)
 		for c := range slack {
@@ -210,6 +225,28 @@ func TestShardManagersBounded(t *testing.T) {
 	if decided == 0 {
 		t.Fatal("no query was decided: the settings were never compared")
 	}
+	if resets < distinct/managerLimit {
+		t.Fatalf("pool emptied %d times over %d distinct configurations, want at least %d",
+			resets, distinct, distinct/managerLimit)
+	}
+}
+
+// scrapeMetric reads one series' value from srv's /metrics page.
+func scrapeMetric(t *testing.T, srv *Server, series string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 // TestConcurrentDecideDeterministic pins the second acceptance invariant:

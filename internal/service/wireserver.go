@@ -2,12 +2,12 @@
 // TCP beside the HTTP/JSON API. A connection is one goroutine running a
 // decode → fan-out → encode loop over per-connection scratch: frames are
 // parsed zero-copy out of the read buffer, queries are resolved by the
-// same resolver the JSON path uses (so both codecs build the same
-// canonical keys and share shard placement and cached decisions), and the
-// answer is encoded into a reused output buffer — the steady-state loop
-// performs no per-request allocation beyond the one WaitGroup of the
-// fan-out. Queries resolved here alias connection scratch, which is why a
-// shard clones a query before the cache may retain it.
+// same resolver the JSON path uses (so both codecs compute the same query
+// hashes and share shard placement and cached decisions), and the answer
+// is encoded into a reused output buffer — the steady-state loop
+// performs no per-request allocation. Queries resolved here alias
+// connection scratch, which is why a shard clones a query before the
+// cache may retain it.
 //
 // Error discipline mirrors the codec's contract: a malformed payload
 // inside a well-formed frame answers a TypeError frame and the connection
@@ -301,7 +301,7 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 		}
 		return s.writeWireError(bw, req.Seq, errCode, err.Error())
 	}
-	if err := s.decideInto(sn, sc.qptrs, sc.results); err != nil {
+	if err := s.decideInto(sn, &sc.fan); err != nil {
 		return s.writeWireError(bw, req.Seq, wire.ErrCodeUnavailable, err.Error())
 	}
 	s.wire.queries.Add(uint64(count))
@@ -312,7 +312,7 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 	resp.Decided = resp.Decided[:0]
 	resp.Settings = resp.Settings[:0]
 	for i := 0; i < count; i++ {
-		res := &sc.results[i]
+		res := &sc.fan.results[i]
 		resp.Decided = append(resp.Decided, res.decided)
 		for _, st := range res.settings {
 			resp.Settings = append(resp.Settings, wire.Setting{
@@ -330,9 +330,9 @@ func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScra
 }
 
 // resolveWireQueries validates sc.req against the snapshot and fills the
-// resolver with queries whose canonical keys match the JSON path's. On
-// success the first return is the query count and sc.qptrs/sc.results
-// are sized to it.
+// resolver with queries whose configurations and hashes match the JSON
+// path's. On success the first return is the query count and sc.fan is
+// sized to it.
 func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.ErrCode, error) {
 	req := &sc.req
 	db := sn.db
@@ -374,7 +374,7 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 	if err := checkSlack(slack); err != nil {
 		return 0, wire.ErrCodeMalformed, err
 	}
-	cfg := rs.config(scheme, model, slack)
+	rs.config(scheme, model, slack)
 	for qi := 0; qi < count; qi++ {
 		ids := rs.ids[qi*n : (qi+1)*n]
 		phases := rs.phases[qi*n : (qi+1)*n]
@@ -392,7 +392,7 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 			ids[c] = simdb.BenchID(id)
 			phases[c] = int(a.Phase)
 		}
-		rs.set(qi, cfg, slack, ids, phases)
+		rs.set(qi, slack, ids, phases)
 	}
 	return count, 0, nil
 }

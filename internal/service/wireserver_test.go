@@ -169,7 +169,7 @@ func TestWireHelloMeta(t *testing.T) {
 // seeded loadgen-style trace answered over HTTP/JSON and over the binary
 // protocol must produce identical decisions — same decided flags, same
 // per-core (size, freq, ways) — because both paths feed the same shard
-// channels and build the same canonical keys. The trace deliberately
+// channels and compute the same query hashes. The trace deliberately
 // repeats configurations so wire answers are served from cache entries
 // the JSON path populated (and vice versa).
 func TestWireMatchesJSON(t *testing.T) {
