@@ -126,7 +126,9 @@ chaos:
 # engine's emitter output across worker counts {1,4,GOMAXPROCS} (scored
 # and equilibrium placement), database builds across worker counts (cold
 # caches, SimPoint included), bounds-accelerated k-means against the plain
-# Lloyd reference, concurrent service batches vs sequential library calls,
+# Lloyd reference, concurrent service batches vs sequential library calls
+# (also four callers per shard on both codecs across a hot swap), the
+# flat decision LRU against the list-based LRU it replaced,
 # the binary decide path vs the JSON one on the same seeded trace, the
 # JSON decide path's bytes vs encoding/json's (encoder over the whole
 # lattice, served responses vs the reference handler on every seed), the
@@ -144,7 +146,7 @@ chaos:
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash|FuzzQueryHash|TestQueryHashBalance' \
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestConcurrentDecideAcrossSwap|TestLRUMatchesReference|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash|FuzzQueryHash|TestQueryHashBalance' \
 		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim ./internal/route
 
 # Golden-table regression: regenerate the committed paper tables (via

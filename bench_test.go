@@ -6,7 +6,10 @@
 package qosrma
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,6 +23,7 @@ import (
 	"qosrma/internal/power"
 	"qosrma/internal/rmasim"
 	"qosrma/internal/sched"
+	"qosrma/internal/service"
 	"qosrma/internal/simdb"
 	"qosrma/internal/simpoint"
 	"qosrma/internal/stats"
@@ -831,6 +835,49 @@ func BenchmarkWireDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := wire.ParseDecideRequest(payload, &req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecideLoneColdBatch measures the trade-off of answering a
+// decide batch on the request's goroutine: one client, one request at a
+// time, each a 1024-query RM2 batch of fresh co-phase vectors (so every
+// query misses the LRU and runs DecideAll) over two shards. Run at
+// -cpu 1,2: the shards of one request are visited one after another, so
+// a lone cold batch gains nothing from a second core.
+func BenchmarkDecideLoneColdBatch(b *testing.B) {
+	env := benchEnv(b)
+	db := env.DB4
+	srv := service.New(db, nil, service.Options{Shards: 2, AuditInterval: -1})
+	defer srv.Close()
+	names := db.BenchNames()
+	rng := stats.NewRNG(stats.SeedFrom(1, "bench/lone-cold-batch"))
+	nextBody := func() []byte {
+		req := service.DecideRequest{Queries: make([]service.DecideQuery, 1024)}
+		for i := range req.Queries {
+			apps := make([]service.AppQuery, db.Sys.NumCores)
+			for c := range apps {
+				name := names[rng.Intn(len(names))]
+				apps[c] = service.AppQuery{Bench: name, Phase: rng.Intn(db.NumPhases(name))}
+			}
+			req.Queries[i] = service.DecideQuery{Scheme: "rm2", Slack: 0.2, Apps: apps}
+		}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		body := nextBody()
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest("POST", "/v1/decide", bytes.NewReader(body))
+		b.StartTimer()
+		srv.ServeHTTP(rec, r)
+		if rec.Code != 200 {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }

@@ -31,7 +31,7 @@
 //
 //	-wire-addr :7744   also serve the compact binary decide protocol
 //	                   (internal/wire; spec in docs/api.md) on a raw TCP
-//	                   listener — the same shard channels, bit-identical
+//	                   listener — the same shards, bit-identical
 //	                   answers, several times the JSON throughput
 //	-route SPEC        routing-tier mode: serve no decisions locally, but
 //	                   consistent-hash decide batches across replicated
@@ -86,7 +86,6 @@ func main() {
 		cores        = flag.Int("cores", 4, "cores per machine (when building the database)")
 		dbPath       = flag.String("db", "", "load a compiled database instead of building one (also the SIGHUP reload source)")
 		shards       = flag.Int("shards", 0, "decision shards (0 = GOMAXPROCS, capped at 16)")
-		batch        = flag.Int("batch", 0, "shard micro-batch size in queued requests (0 = default 64)")
 		cache        = flag.Int("cache", 0, "per-shard decision-LRU entries (0 = default 4096, negative disables)")
 		auditEvery   = flag.Duration("audit-interval", time.Minute, "self-checker period (0 disables periodic audits)")
 		auditSamples = flag.Int("audit-samples", 0, "cached decisions re-verified per audit (0 = default 16)")
@@ -126,7 +125,6 @@ func main() {
 
 	srv := sys.NewServer(qosrma.ServeSpec{
 		Shards:        *shards,
-		Batch:         *batch,
 		CacheSize:     *cache,
 		ReloadPath:    *dbPath,
 		AuditInterval: *auditEvery,
@@ -139,7 +137,7 @@ func main() {
 	log.Printf("qosrmad: database ready in %.2fs (%d cores, %d benchmarks, hash %s); listening on %s",
 		time.Since(start).Seconds(), sys.Config().NumCores, sys.DB().NumBenches(), hash, *addr)
 
-	// The binary listener rides beside the HTTP one: same shard channels,
+	// The binary listener rides beside the HTTP one: same shards,
 	// bit-identical answers, and Close/Shutdown tear it down with the rest
 	// of the server.
 	if *wireAddr != "" {

@@ -39,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := sys.NewServer(qosrma.ServeSpec{Shards: 4, Batch: 64})
+		srv := sys.NewServer(qosrma.ServeSpec{Shards: 4})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()

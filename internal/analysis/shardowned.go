@@ -6,15 +6,16 @@ import (
 )
 
 // Shardowned enforces the //qosrma:shardowned contract: an annotated
-// type (shard LRU, admission filter, scratch arena) is owned by exactly
-// one worker goroutine and must never cross a goroutine boundary. The
-// analyzer flags any `go` statement whose call carries an owned value
-// (as receiver or argument) and any channel send whose payload carries
-// one. Ownership is shallow: a value carries type T when its type is T,
-// *T, []T, [N]T, chan T, or a map over T — but not when T is buried
-// inside another named struct, because handing a whole worker (which
-// owns its scratch) to its own goroutine is exactly the sanctioned
-// pattern.
+// type (shard LRU, admission filter, scratch arena) is guarded by its
+// owner — a shard's values by the shard's mutex, a request stream's
+// scratch by being used on that stream's goroutine — and must never
+// cross a goroutine boundary. The analyzer flags any `go` statement
+// whose call carries an owned value (as receiver or argument) and any
+// channel send whose payload carries one. Ownership is shallow: a value
+// carries type T when its type is T, *T, []T, [N]T, chan T, or a map
+// over T — but not when T is buried inside another named struct, because
+// handing a whole owner (which guards its scratch) to a goroutine is
+// exactly the sanctioned pattern.
 //
 // Annotated types must also be unexported: the compiler then guarantees
 // no other package can reference them at all, which closes the

@@ -6,7 +6,7 @@ import (
 	"qosrma/internal/stats"
 )
 
-// Pins backing the //qosrma:noalloc annotations on the shard worker: a
+// Pins backing the //qosrma:noalloc annotations on the shard path: a
 // warm shard answers a repeated query without allocating (process, cache
 // hit) and recomputes with exactly one allocation (compute — the
 // defensive settings copy DecideAll returns).
@@ -63,16 +63,15 @@ func TestShardComputeSteadyStateAllocs(t *testing.T) {
 func TestShardProcessHitSteadyStateAllocs(t *testing.T) {
 	srv, sh, q := testShardQuery(t)
 	queries := append(testQueries(t, srv, 3, 15), q)
-	f := &fanout{sn: srv.snap.Load(), queries: queries, results: make([]decideResult, len(queries))}
-	f.wg.Add(1)
-	sh.process(task{batch: f}) // misses: computes and caches
+	sn := srv.snap.Load()
+	f := &fanout{queries: queries, results: make([]decideResult, len(queries))}
+	sh.process(sn, f) // misses: computes and caches
 	if !f.results[len(queries)-1].decided {
 		t.Fatal("warm-up process made no decision")
 	}
 	misses := sh.misses.Load()
 	got := testing.AllocsPerRun(100, func() {
-		f.wg.Add(1)
-		sh.process(task{batch: f})
+		sh.process(sn, f)
 	})
 	if got != 0 {
 		t.Fatalf("shard.process allocated %.0f times per batch of cached decisions, want 0", got)
@@ -109,5 +108,46 @@ func TestDecideIntoSteadyStateAllocs(t *testing.T) {
 		if got != 0 {
 			t.Fatalf("warm decideInto allocated %.0f times for a %d-query batch, want 0", got, size)
 		}
+	}
+}
+
+// TestLRUHitSteadyStateAllocs: on a full flat table, a warm hit on the
+// most recent entry, a hit that moves the least recent entry to the
+// front, and an in-place add allocate nothing.
+func TestLRUHitSteadyStateAllocs(t *testing.T) {
+	const capacity = 64
+	l := newLRU(capacity)
+	queries := make([]*decideQuery, capacity)
+	for i := range queries {
+		queries[i] = keyQuery(string(rune('a' + i)))
+		l.add(queries[i], res(i%2 == 0))
+	}
+	if l.len() != capacity {
+		t.Fatalf("len %d, want %d", l.len(), capacity)
+	}
+	mru := queries[capacity-1]
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := l.get(mru); !ok {
+			t.Fatal("warm hit missed")
+		}
+	}); got != 0 {
+		t.Fatalf("lru.get of the most recent entry allocated %.0f times, want 0", got)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(100, func() {
+		// The least recent entry cycles through every query: each get
+		// unlinks the tail and pushes it to the front.
+		q := queries[next%capacity]
+		next++
+		if _, ok := l.get(q); !ok {
+			t.Fatal("move-to-front hit missed")
+		}
+	}); got != 0 {
+		t.Fatalf("lru.get moving the tail to the front allocated %.0f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		l.add(mru, res(true))
+	}); got != 0 {
+		t.Fatalf("in-place lru.add allocated %.0f times, want 0", got)
 	}
 }

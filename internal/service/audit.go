@@ -1,13 +1,15 @@
 // Self-audit: the live re-verification of the service's central
 // invariant — every cached decision must be bit-identical to a fresh
-// library computation. An audit fans one task per shard through the same
-// channels decide queries use, so the shard worker itself samples its own
-// LRU (preserving single-goroutine ownership of the cache) and recomputes
-// each sampled entry on the trusted slow path (computeFresh: a brand-new
-// manager, fresh statistics, nothing pooled). Go's randomized map
-// iteration makes each audit a fresh random sample for free. A mismatch
-// means shard-local pooled state leaked into an answer — exactly the bug
-// class the architecture promises away — and degrades /v1/healthz to 503.
+// library computation. An audit visits each shard in turn: under the
+// shard's lock it copies up to its quota of cached entries (the query
+// pointer and a copy of the result, so an eviction meanwhile cannot
+// change what is checked) and the snapshot they were derived from; after
+// unlocking it recomputes each sampled entry on the trusted slow path
+// (computeFresh: a brand-new manager, fresh statistics, nothing pooled).
+// Samples start where the shard's previous audit stopped, so successive
+// audits rotate over the whole cache. A mismatch means shard-local
+// pooled state leaked into an answer — exactly the bug class the
+// architecture promises away — and degrades /v1/healthz to 503.
 package service
 
 import (
@@ -16,43 +18,34 @@ import (
 	"qosrma/internal/ops"
 )
 
-// auditTask asks one shard worker to spot-check up to quota cached
-// decisions against fresh library computations.
-type auditTask struct {
-	quota int
-	reply chan<- auditShardReport
-}
-
-// auditShardReport is one shard's audit contribution.
-type auditShardReport struct {
-	sampled    int
-	mismatches int
-}
-
-// runAudit executes on the shard worker, which owns the LRU: it samples
-// up to quota cached entries in randomized map order and recomputes each
-// from scratch against the snapshot the cache was built from.
-func (sh *shard) runAudit(a *auditTask) {
-	var r auditShardReport
+// audit spot-checks up to quota of the shard's cached decisions against
+// fresh library computations, reporting how many it sampled and how many
+// mismatched. The recomputation runs outside the shard's lock.
+func (sh *shard) audit(quota int) (sampled, mismatches int) {
+	sample := make([]lruEntry, 0, quota)
+	sh.mu.Lock()
+	sn := sh.sn
 	sh.lru.each(func(e *lruEntry) bool {
-		if r.sampled >= a.quota {
+		if len(sample) == quota {
 			return false
 		}
-		r.sampled++
-		if !computeFresh(sh.sn, e.q).equal(e.res) {
-			r.mismatches++
-		}
+		sample = append(sample, *e)
 		return true
 	})
-	a.reply <- r
+	sh.mu.Unlock()
+	for _, e := range sample {
+		if !computeFresh(sn, e.q).equal(e.res) {
+			mismatches++
+		}
+	}
+	return len(sample), mismatches
 }
 
 // Audit spot-checks up to samples cached decisions spread across the
 // shards and reports how many were sampled and how many mismatched their
 // fresh recomputation. It is what the periodic self-checker and
 // POST /admin/check run. The read lock pairs with Close's write lock the
-// same way decide's does: while held the workers cannot stop, so every
-// audit task is processed and every reply arrives.
+// same way decide's does, so an audit after Close reports an error.
 func (s *Server) Audit(samples int) ops.AuditReport {
 	rep := ops.AuditReport{Time: time.Now()}
 	if samples <= 0 {
@@ -66,14 +59,10 @@ func (s *Server) Audit(samples int) ops.AuditReport {
 	}
 	n := len(s.shards)
 	quota := (samples + n - 1) / n
-	replies := make(chan auditShardReport, n)
 	for _, sh := range s.shards {
-		sh.ch <- task{audit: &auditTask{quota: quota, reply: replies}}
-	}
-	for i := 0; i < n; i++ {
-		r := <-replies
-		rep.Sampled += r.sampled
-		rep.Mismatches += r.mismatches
+		sampled, mismatches := sh.audit(quota)
+		rep.Sampled += sampled
+		rep.Mismatches += mismatches
 	}
 	return rep
 }

@@ -2,14 +2,14 @@
 // validated on the handler goroutine against the current snapshot, and
 // each resolved query carries one 64-bit hash of its manager
 // configuration and co-phase vector (queryHash). The hash's high bits
-// pick the owning shard; decideInto then sends each shard the batch
-// touches one task carrying the whole batch, and the shard's worker
-// answers only the queries it owns. Each shard runs one worker goroutine
-// that drains its queue in micro-batches and owns everything the hot
-// path touches: the decision LRU (keyed by the same hash, and checking
-// the query itself on a hit), the per-configuration managers with their
-// reusable curve buffers, and the per-core IntervalStats scratch.
-// Nothing on the compute path locks or allocates beyond the response
+// pick the owning shard. A shard is state guarded by one mutex: the
+// decision LRU (keyed by the same hash, and checking the query itself on
+// a hit), the per-configuration managers with their reusable curve
+// buffers, and the per-core IntervalStats scratch. decideInto answers a
+// batch on the request's own goroutine, visiting each shard the batch
+// touches in index order: it locks the shard, answers the queries the
+// shard owns and unlocks before the next, so it never holds two shard
+// locks. Nothing on the compute path allocates beyond the response
 // itself, and because every query's curves are rebuilt from its own
 // statistics (core.Manager.DecideAll), answers are bit-identical to
 // direct library calls regardless of shard count, batch size, cache
@@ -17,13 +17,13 @@
 // TestDecideMatchesLibrary and TestConcurrentDecideDeterministic, and
 // continuously re-verified in production by the self-checker (audit.go).
 //
-// Hot-swap discipline: a task carries the snapshot its request resolved
-// against. The worker adopts a newer snapshot the first time it sees one
-// (dropping its LRU and manager pool, which were derived from the old
-// database); a task older than the shard's snapshot — a request that
-// resolved just before a swap landed — is answered correctly against its
-// own snapshot, bypassing the cache, so mixed-generation traffic never
-// mixes cached state.
+// Hot-swap discipline: a request carries the snapshot it resolved
+// against. A shard adopts a newer snapshot the first time a request
+// brings one (dropping its LRU and manager pool, which were derived from
+// the old database); a request older than the shard's snapshot — one
+// that resolved just before a swap landed — is answered correctly
+// against its own snapshot, bypassing the cache, so mixed-generation
+// traffic never mixes cached state.
 package service
 
 import (
@@ -164,34 +164,25 @@ type managerKey struct {
 	slackKey string
 }
 
-// task is one unit of work in flight through a shard: a decide batch
-// (batch set) or a self-audit request (audit set).
-type task struct {
-	batch *fanout
-	audit *auditTask
-}
-
-// fanout is one decide request in flight: every shard the batch touches
-// receives a task pointing here, answers the queries it owns into the
-// index-aligned results and calls wg.Done once. Each resolver owns one
-// and reuses it for every request of its stream, so a fan-out allocates
-// nothing. The queries alias the resolver's arenas, so the worker clones
-// one before the cache may retain it.
+// fanout is one decide request's queries and their index-aligned
+// answers, which every shard the batch touches fills for the queries it
+// owns. Each resolver owns one and reuses it for every request of its
+// stream, so a decide allocates nothing. The queries alias the
+// resolver's arenas, so a shard clones one before its cache may retain
+// it.
 type fanout struct {
-	sn      *snapshot
 	queries []*decideQuery
 	results []decideResult
-	wg      sync.WaitGroup
 }
 
 // shard owns a partition of the decision key space.
 type shard struct {
 	srv *Server
-	ch  chan task
 	idx int // position in Server.shards: owns the queries shardIndex maps here
 
-	// sn is the snapshot the shard-local state below was derived from;
-	// only the worker touches it after construction.
+	// mu guards everything down to statPtrs. sn is the snapshot that
+	// state was derived from.
+	mu   sync.Mutex
 	sn   *snapshot
 	lru  *lru
 	mgrs map[managerKey]*core.Manager
@@ -203,12 +194,12 @@ type shard struct {
 	stats    []core.IntervalStats
 	statPtrs []*core.IntervalStats
 
-	// Counters, read by healthz and /metrics concurrently with the worker.
+	// Counters, read by healthz and /metrics without the lock.
 	tasks      atomic.Uint64 // decide queries answered
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	admRejects atomic.Uint64
-	batches    atomic.Uint64 // worker wakeups
+	batches    atomic.Uint64 // visits: one per request per shard it touches
 	managers   atomic.Int64  // live entries of mgrs
 	mgrResets  atomic.Uint64 // times a full mgrs was emptied
 }
@@ -521,7 +512,7 @@ func (sh *shard) compute(q *decideQuery) decideResult {
 // computeFresh runs the library decision for one query with nothing
 // pooled: a fresh manager and fresh statistics, all derived from the
 // given snapshot. This is the slow, trusted path — it answers
-// stale-generation tasks after a hot-swap and recomputes the reference
+// stale-generation requests after a hot-swap and recomputes the reference
 // answers the self-checker compares cached decisions against.
 func computeFresh(sn *snapshot, q *decideQuery) decideResult {
 	db := sn.db
@@ -549,25 +540,23 @@ func baselineSettings(db *simdb.DB) []arch.Setting {
 	return settings
 }
 
-// process answers one task: dispatching audits, adopting newer
-// snapshots, and answering the queries of a decide batch this shard owns
-// from the cache or by computing. The counters move once per task.
+// process answers the queries of the batch this shard owns against sn,
+// from the cache or by computing, holding the shard's lock: it adopts a
+// newer snapshot, and answers a request older than the shard fresh. The
+// counters move once per visit.
 //
 //qosrma:noalloc
-func (sh *shard) process(t task) {
-	if t.audit != nil {
-		sh.runAudit(t.audit)
-		return
-	}
-	f := t.batch
-	// A batch that resolved against a snapshot swapped out while it
-	// queued must still be answered from that snapshot (no torn
-	// responses), so it is computed fresh and the cache — which now
-	// encodes the newer database — is left untouched.
+func (sh *shard) process(sn *snapshot, f *fanout) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// A batch that resolved against a snapshot swapped out since must
+	// still be answered from that snapshot (no torn responses), so it is
+	// computed fresh and the cache — which now encodes the newer
+	// database — is left untouched.
 	stale := false
-	if f.sn != sh.sn {
-		if f.sn.gen > sh.sn.gen {
-			sh.adopt(f.sn)
+	if sn != sh.sn {
+		if sn.gen > sh.sn.gen {
+			sh.adopt(sn)
 		} else {
 			stale = true
 		}
@@ -580,7 +569,7 @@ func (sh *shard) process(t task) {
 		}
 		owned++
 		if stale {
-			f.results[i] = computeFresh(f.sn, q)
+			f.results[i] = computeFresh(sn, q)
 			continue
 		}
 		if res, ok := sh.lru.get(q); ok {
@@ -601,44 +590,19 @@ func (sh *shard) process(t task) {
 	sh.hits.Add(hits)
 	sh.misses.Add(misses)
 	sh.admRejects.Add(rejects)
-	f.wg.Done()
+	sh.batches.Add(1)
 }
 
-// run is the shard worker: it blocks for one task, then drains up to a
-// micro-batch from the queue before blocking again, so a loaded shard
-// amortizes channel wakeups across many decisions.
-func (sh *shard) run() {
-	for {
-		select {
-		case <-sh.srv.quit:
-			return
-		case t := <-sh.ch:
-			sh.batches.Add(1)
-			sh.process(t)
-			for drained := 1; drained < sh.srv.opt.Batch; drained++ {
-				select {
-				case t2 := <-sh.ch:
-					sh.process(t2)
-				default:
-					drained = sh.srv.opt.Batch
-				}
-			}
-		}
-	}
-}
-
-// decideInto answers the batch of resolved queries in f against sn by
-// fanning it out to the queries' shards and awaiting completion:
-// f.results[i] receives the answer to f.queries[i]. Each shard the batch
-// touches receives one task carrying the whole batch. Both codecs call
-// it with their resolver's fanout, which is what keeps a steady-state
+// decideInto answers the batch of resolved queries in f against sn on
+// the calling goroutine: f.results[i] receives the answer to
+// f.queries[i]. Each shard the batch touches is visited once, in index
+// order, and only one shard lock is held at a time. Both codecs call it
+// with their resolver's fanout, which is what keeps a steady-state
 // decision free of per-request allocation. The read lock pairs with
-// Close's write lock: while any fan-out holds it the workers cannot be
-// stopped, so an accepted task is always drained and wg.Wait cannot
-// strand the caller; after Close, requests fail fast instead of queueing
-// into dead shards. Draining is the callers' business: HTTP refuses new
-// work, while a wire frame already read is answered (Shutdown waits for
-// the wire loops before it closes).
+// Close's write lock, so Close and Shutdown wait for in-flight decides;
+// after Close, requests fail fast. Draining is the callers' business:
+// HTTP refuses new work, while a wire frame already read is answered
+// (Shutdown waits for the wire loops before it closes).
 func (s *Server) decideInto(sn *snapshot, f *fanout) error {
 	start := time.Now()
 	s.stateMu.RLock()
@@ -654,15 +618,11 @@ func (s *Server) decideInto(sn *snapshot, f *fanout) error {
 	for _, q := range f.queries {
 		touched |= 1 << (shardIndex(q.h, n) & 63)
 	}
-	f.sn = sn
 	for i, sh := range s.shards {
 		if touched&(1<<(i&63)) != 0 {
-			f.wg.Add(1)
-			sh.ch <- task{batch: f}
+			sh.process(sn, f)
 		}
 	}
-	f.wg.Wait()
-	f.sn = nil // an idle stream must not pin a swapped-out snapshot
 	s.metrics.decideSeconds.Observe(time.Since(start).Seconds())
 	s.metrics.decideBatch.Observe(float64(len(f.queries)))
 	return nil

@@ -16,7 +16,7 @@ var (
 
 func fuzzServer(t testing.TB) *Server {
 	fuzzSrvOnce.Do(func() {
-		fuzzSrv = New(testDB(t), nil, Options{Shards: 2, Batch: 4, CacheSize: 64})
+		fuzzSrv = New(testDB(t), nil, Options{Shards: 2, CacheSize: 64})
 	})
 	return fuzzSrv
 }

@@ -487,10 +487,10 @@ func TestSelfCheckerDetectsCorruption(t *testing.T) {
 		t.Fatalf("clean audit: status %d report %+v", code, rep)
 	}
 
-	// Poison the cached entry. The worker is idle (its last write
+	// Poison the cached entry. The shard is idle (its last write
 	// happened-before the decide response we already received) and the
-	// next access happens-after the audit task's channel send, so this is
-	// race-free despite reaching into worker-owned state.
+	// next access happens-after the audit request below, so this is
+	// race-free despite reaching into shard-owned state without its lock.
 	poisoned := 0
 	srv.shards[0].lru.each(func(e *lruEntry) bool {
 		e.res.decided = !e.res.decided

@@ -1,44 +1,67 @@
 package service
 
-import "container/list"
-
-// lruEntry is one cached decision, keyed by its query's hash q.h. The
-// resolved query is retained alongside the result: a hit must match it
-// (equal hashes do not imply equal queries), and the self-checker
-// recomputes a cached answer from it to compare.
+// lruEntry is one cached decision. The resolved query is retained
+// alongside the result: a hit must match it (equal hashes do not imply
+// equal queries), and the self-checker recomputes a cached answer from
+// it to compare. h copies q.h so index probes stay in the entry array.
 type lruEntry struct {
-	q   *decideQuery
-	res decideResult
+	q          *decideQuery
+	res        decideResult
+	h          uint64
+	prev, next int32 // neighbours in recency order (slots)
 }
 
-// lru is a least-recently-used map of decision results guarded by a
+// lru is a least-recently-used table of decision results guarded by a
 // TinyLFU-style admission filter: once the cache is full, a computed
 // decision is only cached if its key has been seen recently (doorkeeper)
 // and at least as often as the key it would evict (frequency sketch).
 // One-hit-wonder queries from scan-heavy traces therefore pass through
-// without displacing the hot working set. It is not safe for concurrent
-// use: every instance is owned by exactly one shard worker, which is
-// what keeps the decide hot path lock-free — admission decisions
-// included.
+// without displacing the hot working set.
+//
+// The table is flat: entries live in one slice, linked in recency order
+// by int32 slots into a ring through the sentinel at slot 0 (its next is
+// the most recently used entry, its prev the least), and an
+// open-addressed index (linear probing, backward-shift deletion, load
+// factor at most 0.5) maps a query hash to its slot. The index starts
+// from the hash's low bits, because shardIndex consumes the high ones:
+// every hash a shard holds shares them. It is not safe for concurrent
+// use: each instance belongs to one shard and is touched only under that
+// shard's lock.
 //
 //qosrma:shardowned
 type lru struct {
-	cap   int
-	order *list.List               // front = most recent
-	byKey map[uint64]*list.Element // query hash -> *lruEntry
-	adm   admission
+	cap     int
+	entries []lruEntry // sentinel, then at most cap live entries
+	index   []int32    // entry slot per position, 0 when empty
+	mask    uint64     // len(index) - 1
+	cursor  int        // live entry the next each starts from
+	adm     admission
 }
 
 func newLRU(capacity int) *lru {
-	l := &lru{
-		cap:   capacity,
-		order: list.New(),
-		byKey: make(map[uint64]*list.Element, max(capacity, 0)),
-	}
+	l := &lru{cap: capacity}
 	if capacity > 0 {
+		size := 2
+		for size < 2*capacity {
+			size <<= 1
+		}
+		l.entries = make([]lruEntry, 1, capacity+1)
+		l.index = make([]int32, size)
+		l.mask = uint64(size - 1)
 		l.adm.init(capacity)
 	}
 	return l
+}
+
+// find returns the slot cached under hash h (0 when there is none) and
+// the index position where the probe stopped: h's position, or the empty
+// one that ends its run.
+func (l *lru) find(h uint64) (slot int32, pos uint64) {
+	for pos = h & l.mask; ; pos = (pos + 1) & l.mask {
+		if slot = l.index[pos]; slot == 0 || l.entries[slot].h == h {
+			return slot, pos
+		}
+	}
 }
 
 // get returns the cached decision for q, marks it most recently used and
@@ -46,18 +69,19 @@ func newLRU(capacity int) *lru {
 // key's estimate must keep growing, or the filter would evict-protect
 // stale entries). An entry under q's hash that holds another query is a
 // miss. q may alias a transient buffer: the lookup does not retain it.
+//
+//qosrma:noalloc
 func (l *lru) get(q *decideQuery) (decideResult, bool) {
-	el, ok := l.byKey[q.h]
-	if !ok {
+	if l.cap <= 0 {
 		return decideResult{}, false
 	}
-	e := el.Value.(*lruEntry)
-	if !e.q.same(q) {
+	s, _ := l.find(q.h)
+	if s == 0 || !l.entries[s].q.same(q) {
 		return decideResult{}, false
 	}
 	l.adm.record(q.h)
-	l.order.MoveToFront(el)
-	return e.res, true
+	l.toFront(s)
+	return l.entries[s].res, true
 }
 
 // admit decides whether a just-computed decision should enter the cache,
@@ -71,14 +95,13 @@ func (l *lru) admit(h uint64) bool {
 		return false
 	}
 	seen := l.adm.record(h)
-	if l.order.Len() < l.cap {
+	if l.len() < l.cap {
 		return true
 	}
 	if !seen {
 		return false
 	}
-	victim := l.order.Back().Value.(*lruEntry)
-	return l.adm.estimate(h) >= l.adm.estimate(victim.q.h)
+	return l.adm.estimate(h) >= l.adm.estimate(l.entries[l.entries[0].prev].h)
 }
 
 // add inserts or updates the decision for q, which the cache retains,
@@ -86,37 +109,71 @@ func (l *lru) admit(h uint64) bool {
 // capacity. An entry already under q's hash — the same query, or another
 // one that collides — is replaced in place and marked most recently
 // used, so callers need not guarantee absence.
+//
+//qosrma:noalloc
 func (l *lru) add(q *decideQuery, res decideResult) {
 	if l.cap <= 0 {
 		return
 	}
-	if el, ok := l.byKey[q.h]; ok {
-		e := el.Value.(*lruEntry)
-		e.q, e.res = q, res
-		l.order.MoveToFront(el)
-		return
+	s, pos := l.find(q.h)
+	if s == 0 {
+		if l.len() < l.cap {
+			// A fresh entry links to itself, so toFront's unlink is a no-op.
+			s = int32(len(l.entries))
+			l.entries = append(l.entries, lruEntry{prev: s, next: s})
+		} else {
+			s = l.entries[0].prev // the victim's slot, still linked
+			l.unindex(s)
+			_, pos = l.find(q.h)
+		}
+		l.index[pos] = s
+		l.entries[s].h = q.h
 	}
-	if l.order.Len() >= l.cap {
-		back := l.order.Back()
-		delete(l.byKey, back.Value.(*lruEntry).q.h)
-		l.order.Remove(back)
-	}
-	l.byKey[q.h] = l.order.PushFront(&lruEntry{q: q, res: res})
+	e := &l.entries[s]
+	e.q, e.res = q, res
+	l.toFront(s)
 }
 
-// each visits cached entries in Go's randomized map order — which is what
-// gives the self-checker a free uniform-ish sample — stopping when fn
-// returns false. Only the owning shard worker may call it.
+// unindex removes slot s's hash from the index by backward-shift
+// deletion: each later entry of the probe run moves into the hole unless
+// the hole lies before its home position, so the index needs no
+// tombstones and every run stays as short as if s had never been added.
+func (l *lru) unindex(s int32) {
+	_, hole := l.find(l.entries[s].h)
+	for pos := (hole + 1) & l.mask; l.index[pos] != 0; pos = (pos + 1) & l.mask {
+		if home := l.entries[l.index[pos]].h & l.mask; (pos-home)&l.mask >= (pos-hole)&l.mask {
+			l.index[hole], hole = l.index[pos], pos
+		}
+	}
+	l.index[hole] = 0
+}
+
+// toFront unlinks slot s and relinks it as the most recently used.
+func (l *lru) toFront(s int32) {
+	e, ring := &l.entries[s], &l.entries[0]
+	l.entries[e.prev].next, l.entries[e.next].prev = e.next, e.prev
+	e.prev, e.next = 0, ring.next
+	l.entries[ring.next].prev = s
+	ring.next = s
+}
+
+// each visits cached entries in slot order, starting where the previous
+// call stopped and wrapping around at most once, until fn returns false;
+// the entry fn refused is the next call's first. The rotating start is
+// what lets successive self-audits cover the whole cache.
 func (l *lru) each(fn func(*lruEntry) bool) {
-	for _, el := range l.byKey {
-		if !fn(el.Value.(*lruEntry)) {
+	n := l.len()
+	for k := 0; k < n; k++ {
+		i := (l.cursor + k) % n
+		if !fn(&l.entries[1+i]) {
+			l.cursor = i
 			return
 		}
 	}
 }
 
 // len returns the number of cached decisions.
-func (l *lru) len() int { return l.order.Len() }
+func (l *lru) len() int { return max(len(l.entries)-1, 0) }
 
 // admission is the doorkeeper + frequency-sketch pair (the TinyLFU
 // construction): a bloom-filter doorkeeper absorbs the first sighting of

@@ -2,7 +2,7 @@
 // path is untouched — per-shard counters are the same atomics healthz has
 // always read, bridged as CounterFuncs and sampled at scrape time; the
 // only instruments on a request path are two histograms observed once per
-// decide fan-out (not per query) and one counter per score request. The
+// decide request (not per query) and one counter per score request. The
 // catalog is documented for operators in docs/operations.md, which the
 // docs-check CI target keeps in sync with this file.
 package service
@@ -75,7 +75,7 @@ func (s *Server) initMetrics() {
 			"Computed decisions the TinyLFU admission filter kept out of the shard's LRU, per shard.", lbl,
 			func() float64 { return float64(sh.admRejects.Load()) })
 		r.CounterFunc("qosrmad_decide_batches_total",
-			"Shard worker wakeups (micro-batches drained), per shard.", lbl,
+			"Shard visits: one per request per shard its batch touches, per shard.", lbl,
 			func() float64 { return float64(sh.batches.Load()) })
 		r.GaugeFunc("qosrmad_decide_managers",
 			"Manager configurations live in the shard's pool, per shard.", lbl,
@@ -98,7 +98,7 @@ func (s *Server) initMetrics() {
 			return float64(hits) / float64(tasks)
 		})
 	m.decideSeconds = r.Histogram("qosrmad_decide_request_seconds",
-		"Wall time of one decide fan-out (whole request batch).", "",
+		"Wall time of one decide request's shard visits (lock waits plus lookups or computes).", "",
 		[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5})
 	m.decideBatch = r.Histogram("qosrmad_decide_batch_size",
 		"Queries per decide request.", "",

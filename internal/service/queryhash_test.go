@@ -51,12 +51,11 @@ func TestLRUHashCollisionIsMiss(t *testing.T) {
 		t.Fatal("the replacing query missed or answered wrongly")
 	}
 
-	// Through the shard worker, in both orders and with a warm cache.
+	// Through the shard, in both orders and with a warm cache.
 	for lap := 0; lap < 2; lap++ {
 		for _, batch := range [][]*decideQuery{{a, b, a}, {b, a, b}} {
-			f := &fanout{sn: sn, queries: batch, results: make([]decideResult, len(batch))}
-			f.wg.Add(1)
-			sh.process(task{batch: f})
+			f := &fanout{queries: batch, results: make([]decideResult, len(batch))}
+			sh.process(sn, f)
 			for i, q := range batch {
 				if want := computeFresh(sn, q); !f.results[i].equal(want) {
 					t.Fatalf("lap %d query %d: served %+v, library %+v", lap, i, f.results[i], want)

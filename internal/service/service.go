@@ -9,17 +9,18 @@
 // (/admin/check), and an operator status API (/admin/status).
 //
 // The decision path is sharded: queries hash to one of N shards by their
-// manager configuration and co-phase vector, and each shard's single
-// worker owns its decision LRU, its per-configuration managers (with
-// their reusable curve buffers) and its statistics scratch, so the hot
-// path takes no locks and performs no allocation beyond the response. Batching, sharding and caching are
+// manager configuration and co-phase vector, and each shard's mutex
+// guards its decision LRU, its per-configuration managers (with their
+// reusable curve buffers) and its statistics scratch. A request answers
+// its batch on its own goroutine, one shard at a time, and allocates
+// nothing beyond the response. Batching, sharding and caching are
 // answer-invariant: the service is bit-identical to direct library calls,
 // and the self-checker continuously re-verifies that invariant in
 // production, degrading /v1/healthz to 503 when an audit fails.
 //
 // The serving state (database + scorer + version) lives behind one atomic
 // snapshot pointer (see snapshot.go): reloads swap it without dropping
-// in-flight requests, and Server.Shutdown drains queued decisions and
+// in-flight requests, and Server.Shutdown drains in-flight decisions and
 // running sweep jobs before stopping, so a rolling restart loses nothing.
 package service
 
@@ -43,18 +44,11 @@ import (
 // Options configures a Server.
 type Options struct {
 	// Shards is the number of decision shards (default GOMAXPROCS, capped
-	// at 16: each shard is one worker goroutine plus its caches).
+	// at 16: each shard is one lock over its caches).
 	Shards int
-	// Batch is the micro-batch size: how many queued tasks one shard
-	// wakeup drains before blocking again (default 64). A task is one
-	// request's share of the shard's queries.
-	Batch int
 	// CacheSize is the per-shard decision LRU capacity in entries
 	// (0 = default 4096, negative disables caching).
 	CacheSize int
-	// QueueDepth is the per-shard queue capacity in tasks (default
-	// 4 x Batch).
-	QueueDepth int
 	// MaxBatch bounds the queries accepted in one HTTP request
 	// (default 1024).
 	MaxBatch int
@@ -92,14 +86,8 @@ func (o Options) withDefaults() Options {
 			o.Shards = 16
 		}
 	}
-	if o.Batch <= 0 {
-		o.Batch = 64
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Batch
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
@@ -130,15 +118,14 @@ type Server struct {
 	mux     *http.ServeMux
 	routes  []string
 	shards  []*shard
-	quit    chan struct{}
 	started time.Time
 
 	metrics serverMetrics
 	checker *ops.Checker
 
-	// stateMu orders decide fan-out against Close: decides hold the read
-	// side while their tasks are in flight, Close takes the write side
-	// before stopping the workers, so no accepted task is ever stranded.
+	// stateMu orders decides against Close: decides hold the read side
+	// while they run, Close takes the write side, so Close returns only
+	// once every accepted decide has been answered.
 	stateMu sync.RWMutex
 	closed  bool
 
@@ -191,7 +178,6 @@ func New(db *simdb.DB, engine *sweep.Engine, opt Options) *Server {
 		engine:  engine,
 		opt:     opt.withDefaults(),
 		mux:     http.NewServeMux(),
-		quit:    make(chan struct{}),
 		started: time.Now(),
 	}
 	s.snap.Store(s.newSnapshot(db, s.opt.Source))
@@ -200,10 +186,9 @@ func New(db *simdb.DB, engine *sweep.Engine, opt Options) *Server {
 	s.jobSem = make(chan struct{}, 1)
 	s.shards = make([]*shard, s.opt.Shards)
 	for i := range s.shards {
-		sh := &shard{srv: s, idx: i, ch: make(chan task, s.opt.QueueDepth)}
+		sh := &shard{srv: s, idx: i}
 		sh.adopt(s.snap.Load())
 		s.shards[i] = sh
-		go sh.run()
 	}
 	s.initMetrics()
 
@@ -250,17 +235,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the shard workers immediately. It waits for in-flight
-// decide fan-outs to drain (their tasks are always processed), and later
-// requests answer 503 instead of queueing into stopped shards. Close is
-// idempotent. For a graceful stop that also waits for queued work and
+// Close stops the server immediately. It waits for in-flight decides to
+// finish, and later requests answer 503. Close is idempotent. For a graceful stop that also waits for queued work and
 // running sweep jobs, use Shutdown.
 func (s *Server) Close() {
 	s.stateMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-	}
+	s.closed = true
 	s.stateMu.Unlock()
 	s.checker.Stop()
 	s.closeWire()
@@ -268,9 +248,9 @@ func (s *Server) Close() {
 
 // Shutdown gracefully drains the server: new decide/score/sweep requests
 // are refused with 503 (Retry-After: 1) while status endpoints keep
-// answering, running sweep jobs and in-flight decide fan-outs complete,
-// wire connections finish their in-flight frame and receive a goaway
-// Error frame, and the shard workers stop. It returns nil when the drain finished
+// answering, running sweep jobs and in-flight decides complete, wire
+// connections finish their in-flight frame and receive a goaway Error
+// frame, and the server closes. It returns nil when the drain finished
 // within ctx, or ctx.Err() after forcing an immediate close at the
 // deadline (in-flight work still completes in the background — nothing is
 // dropped, the caller just stops waiting). Callers typically pair it with
@@ -306,9 +286,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 
-	// Phase 2: in-flight decide fan-outs, then the workers. The write
-	// lock is acquired only once every fan-out has released the read
-	// side, i.e. once every accepted task has been answered.
+	// Phase 2: in-flight decides. The write lock is acquired only once
+	// every decide has released the read side, i.e. once every accepted
+	// request has been answered.
 	closed := make(chan struct{})
 	go func() {
 		s.Close()
@@ -445,7 +425,6 @@ type Meta struct {
 	Schemes  []string    `json:"schemes"`
 	Benches  []MetaBench `json:"benches"`
 	Shards   int         `json:"shards"`
-	Batch    int         `json:"batch"`
 
 	DBHash   string `json:"db_hash"`
 	DBGen    uint64 `json:"db_generation"`
@@ -461,7 +440,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		LLCAssoc: db.Sys.LLC.Assoc,
 		Schemes:  []string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"},
 		Shards:   len(s.shards),
-		Batch:    s.opt.Batch,
 		DBHash:   sn.hash,
 		DBGen:    sn.gen,
 		DBSource: sn.source,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,7 +130,7 @@ func settingsOf(db *simdb.DB, ans DecideAnswer) []arch.Setting {
 // scheme, the served answer is bit-identical to the direct library calls.
 func TestDecideMatchesLibrary(t *testing.T) {
 	db := testDB(t)
-	_, ts := testServer(t, Options{Shards: 3, Batch: 4, CacheSize: 8})
+	_, ts := testServer(t, Options{Shards: 3, CacheSize: 8})
 	schemes := []struct {
 		wire   string
 		scheme core.Scheme
@@ -174,13 +175,18 @@ func TestDecideMatchesLibrary(t *testing.T) {
 // managers, and every answer equals a fresh library manager's — also on
 // a second lap, whose managers were emptied out and rebuilt. The
 // qosrmad_decide_managers gauge and qosrmad_decide_manager_resets_total
-// counter on /metrics report the pool size and every emptying.
+// counter on /metrics report the pool size and every emptying, and the
+// live heap after the run stays under managerHeapCeiling.
 func TestShardManagersBounded(t *testing.T) {
 	srv, sh, _ := testShardQuery(t)
 	db := testDB(t)
 	sn := srv.snap.Load()
 	rng := stats.NewRNG(stats.SeedFrom(11, "service/manager-bound"))
 	distinct, decided, resets := 10*managerLimit, 0, 0
+	runtime.GC()
+	var ms0 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	heap0 := ms0.HeapAlloc
 	for i := 0; i < distinct+managerLimit; i++ {
 		pool := len(sh.mgrs)
 		s := float64(1+i%distinct) / 1000
@@ -229,7 +235,23 @@ func TestShardManagersBounded(t *testing.T) {
 		t.Fatalf("pool emptied %d times over %d distinct configurations, want at least %d",
 			resets, distinct, distinct/managerLimit)
 	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	grew := int64(ms.HeapAlloc) - int64(heap0)
+	t.Logf("live heap grew %d KiB over %d configurations", grew>>10, distinct+managerLimit)
+	if grew > managerHeapCeiling {
+		t.Fatalf("live heap grew %d KiB over %d configurations, ceiling %d KiB",
+			grew>>10, distinct+managerLimit, managerHeapCeiling>>10)
+	}
 }
+
+// managerHeapCeiling bounds the live heap one shard's manager pool may
+// add in TestShardManagersBounded. A full 64-manager pool measured
+// 351-421 KiB on linux/amd64 (go1.24), so the ceiling leaves about 2.4x
+// headroom; with managerLimit raised to 1024 the same test measured
+// 6843 KiB and fails here.
+const managerHeapCeiling = 1 << 20
 
 // scrapeMetric reads one series' value from srv's /metrics page.
 func scrapeMetric(t *testing.T, srv *Server, series string) float64 {
@@ -267,8 +289,8 @@ func TestConcurrentDecideDeterministic(t *testing.T) {
 	}
 
 	for _, opt := range []Options{
-		{Shards: 1, Batch: 2, CacheSize: 4},
-		{Shards: 4, Batch: 16, CacheSize: 1024},
+		{Shards: 1, CacheSize: 4},
+		{Shards: 4, CacheSize: 1024},
 	} {
 		_, ts := testServer(t, opt)
 		var wg sync.WaitGroup
@@ -522,7 +544,7 @@ func TestHealthzAndMeta(t *testing.T) {
 }
 
 // TestDecideAfterCloseFailsFast: a closed server answers 503 instead of
-// queueing tasks into stopped shard workers.
+// deciding.
 func TestDecideAfterCloseFailsFast(t *testing.T) {
 	db := testDB(t)
 	srv, ts := testServer(t, Options{Shards: 1})

@@ -1,14 +1,14 @@
 // Snapshot hot-swap: the server's entire serving state — the compiled
 // database, the scorer memoized against it, and the version identifying
 // both — lives behind one atomic pointer. A request loads the pointer
-// once and carries the snapshot through resolution, shard fan-out and
+// once and carries the snapshot through resolution, shard visits and
 // response rendering, so every answer is computed wholly against a single
 // consistent state: a reload can never produce a torn response. In-flight
 // requests finish on the snapshot they started with; requests arriving
 // after the swap see the new one. Shard-local derived state (decision
 // LRU, manager pool, statistics scratch) is keyed by snapshot generation
-// and rebuilt by the owning worker the first time it sees a newer
-// snapshot — no locks are added to the hot path.
+// and rebuilt under the shard's lock the first time a request brings a
+// newer snapshot.
 package service
 
 import (
@@ -94,8 +94,8 @@ func renderSettingPrefixes(sys arch.SystemConfig) [][]byte {
 // Swap atomically replaces the serving snapshot with a new one built over
 // db. In-flight requests complete on the snapshot they resolved against;
 // requests arriving after Swap returns see the new database. Each shard
-// worker drops its decision LRU and manager pool the first time it
-// processes a query of the new generation. Returns the new snapshot's
+// drops its decision LRU and manager pool the first time a request of
+// the new generation visits it. Returns the new snapshot's
 // content hash and generation.
 func (s *Server) Swap(db *simdb.DB, source string) (hash string, gen uint64) {
 	sn := s.newSnapshot(db, source)

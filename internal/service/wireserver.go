@@ -1,6 +1,6 @@
 // Binary serving path: the wire protocol (internal/wire) served over raw
 // TCP beside the HTTP/JSON API. A connection is one goroutine running a
-// decode → fan-out → encode loop over per-connection scratch: frames are
+// decode → decide → encode loop over per-connection scratch: frames are
 // parsed zero-copy out of the read buffer, queries are resolved by the
 // same resolver the JSON path uses (so both codecs compute the same query
 // hashes and share shard placement and cached decisions), and the answer
@@ -279,8 +279,8 @@ func (s *Server) writeWireMeta(bw *bufio.Writer) bool {
 }
 
 // handleWireDecide answers one DecideRequest frame: parse, validate
-// against the current snapshot, fan out through the same shard channels
-// the JSON path uses, encode. Returns false when the connection is no
+// against the current snapshot, answer through the same shards the JSON
+// path uses, encode. Returns false when the connection is no
 // longer writable; every request-level failure answers an Error frame and
 // keeps the connection.
 func (s *Server) handleWireDecide(bw *bufio.Writer, payload []byte, sc *wireScratch) bool {

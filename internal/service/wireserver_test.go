@@ -168,8 +168,8 @@ func TestWireHelloMeta(t *testing.T) {
 // TestWireMatchesJSON is the cross-codec equivalence wall: the same
 // seeded loadgen-style trace answered over HTTP/JSON and over the binary
 // protocol must produce identical decisions — same decided flags, same
-// per-core (size, freq, ways) — because both paths feed the same shard
-// channels and compute the same query hashes. The trace deliberately
+// per-core (size, freq, ways) — because both paths answer through the
+// same shards and compute the same query hashes. The trace deliberately
 // repeats configurations so wire answers are served from cache entries
 // the JSON path populated (and vice versa).
 func TestWireMatchesJSON(t *testing.T) {

@@ -22,8 +22,8 @@
 //   - the open-system cluster engine (internal/cluster) — fleets of
 //     machines fed by deterministic arrival traces with scored online
 //     placement — reachable through System.Cluster, and
-//   - the decision service (internal/service, cmd/qosrmad) — a sharded,
-//     micro-batched HTTP/JSON server answering RMA decisions, collocation
+//   - the decision service (internal/service, cmd/qosrmad) — a sharded
+//     HTTP/JSON server answering RMA decisions, collocation
 //     scores and async sweeps bit-identically to the library calls, with a
 //     live-ops control plane (Prometheus metrics, atomic database hot-swap,
 //     graceful drain, a bit-identity self-checker; see docs/operations.md),
@@ -293,9 +293,9 @@ func (s *System) BaselineRound(bench string) (seconds, joules float64, err error
 // healthz) plus the live-ops control plane — GET /metrics in Prometheus
 // text format, POST /admin/reload for atomic database hot-swap,
 // /admin/status and /admin/check for the self-checker (see docs/api.md
-// and internal/service for the wire formats). Decisions are sharded and
-// micro-batched with a per-shard LRU in front, and are bit-identical to
-// the corresponding direct library calls. Stop with Server.Shutdown
+// and internal/service for the wire formats). Decisions are sharded,
+// with a per-shard LRU in front, answered on the request's goroutine,
+// and bit-identical to the corresponding direct library calls. Stop with Server.Shutdown
 // (graceful drain) or Server.Close (immediate).
 type Server = service.Server
 
@@ -305,15 +305,12 @@ type ServeSpec struct {
 	Addr string
 	// WireAddr, when set, makes Serve also listen on this raw-TCP
 	// address with the compact binary decide protocol (internal/wire;
-	// spec in docs/api.md) — the same shard channels as the HTTP path,
+	// spec in docs/api.md) — the same shards as the HTTP path,
 	// bit-identical answers, several times the JSON throughput.
 	WireAddr string
-	// Shards is the number of decision shards, each one worker goroutine
-	// owning its curve buffers, managers and LRU (default GOMAXPROCS,
-	// capped at 16).
+	// Shards is the number of decision shards, each one lock over its
+	// curve buffers, managers and LRU (default GOMAXPROCS, capped at 16).
 	Shards int
-	// Batch is the micro-batch size one shard wakeup drains (default 64).
-	Batch int
 	// CacheSize is the per-shard decision-LRU capacity (default 4096
 	// entries; negative disables caching).
 	CacheSize int
@@ -354,7 +351,6 @@ func (s *System) NewServer(spec ServeSpec) *Server {
 	}
 	return service.New(s.db, s.engine, service.Options{
 		Shards:        spec.Shards,
-		Batch:         spec.Batch,
 		CacheSize:     spec.CacheSize,
 		Source:        source,
 		Reloader:      reloader,

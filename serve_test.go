@@ -18,7 +18,7 @@ import (
 // counters through /v1/healthz.
 func TestServeFacade(t *testing.T) {
 	s := testSystem(t)
-	srv := s.NewServer(ServeSpec{Shards: 2, Batch: 8})
+	srv := s.NewServer(ServeSpec{Shards: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
