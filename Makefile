@@ -142,11 +142,14 @@ chaos:
 # its pre-streaming reference on both codecs (placement is part of the
 # contract), and the service's query hash: equal across the JSON and wire
 # codecs and balanced over 2, 4 and 16 shards (shard placement is part of
-# what this wall pins).
+# what this wall pins), and the compiled database: every lattice point
+# against the on-the-fly model evaluation, and every value derived from a
+# 32-byte point (rates, energy, stall power, FillStats' counters) against
+# the retired fifteen-value evaluation, with and without the bandwidth cap.
 # Run without -short (these need real database builds) and without caching.
 determinism:
 	$(GO) test -count=1 -run \
-		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestConcurrentDecideAcrossSwap|TestLRUMatchesReference|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash|FuzzQueryHash|TestQueryHashBalance' \
+		'TestClusterDeterministic|TestEquilibriumPlacementDeterministic|TestSolveDeterministic|TestSolveMatchesReference|TestScoreMemoBitIdentical|TestBuildDeterministicAcrossWorkerCounts|TestHamerlyMatchesLloyd|TestConcurrentDecideDeterministic|TestConcurrentDecideAcrossSwap|TestLRUMatchesReference|TestDecideMatchesLibrary|TestWireMatchesJSON|TestDecideJSONEncoderMatchesStdlib|FuzzDecideJSONMatchesStdlib|TestWireStreamDeterministic|TestDecideTableMatchesUnkeyed|TestTableBoundResets|TestFeedbackBypassesTable|TestTableCurveImmutable|TestMemoStoresInfeasible|TestFillStatsKey|FuzzRoutingHash|FuzzQueryHash|TestQueryHashBalance|TestCompiledPerfMatchesReference|TestCompactPointMatchesFullEvaluation' \
 		./internal/cluster ./internal/equilibrium ./internal/sched ./internal/simdb ./internal/simpoint ./internal/service ./internal/core ./internal/rmasim ./internal/route
 
 # Golden-table regression: regenerate the committed paper tables (via

@@ -1,5 +1,5 @@
 // Benchmarks: one per table/figure of the paper's evaluation (see the
-// per-experiment index in DESIGN.md) plus micro-benchmarks of the hot
+// per-experiment index in docs/architecture.md) plus micro-benchmarks of the hot
 // kernels. Experiment benches report the headline metric of the artifact
 // they regenerate (avgSavings%/maxSavings% etc.) via b.ReportMetric, so
 // `go test -bench=.` reproduces the evaluation end to end.
@@ -508,7 +508,7 @@ func BenchmarkSimDBLookup(b *testing.B) {
 	var acc float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc += db.PerfAt(id, 0, idx).TPI
+		acc += db.PerfAt(id, 0, idx).TPI()
 	}
 	if acc <= 0 {
 		b.Fatal("degenerate lookup")

@@ -14,7 +14,7 @@ import (
 
 // This file contains the extension and ablation studies that go beyond the
 // paper's tables: the thesis' future-work feedback proposal (EXT.FB), and
-// ablations of the design choices DESIGN.md calls out — coordination
+// ablations of the design choices docs/architecture.md describes — coordination
 // itself (AB.UNC), ATD set-sampling density (AB.SAMP), reconfiguration
 // overheads (AB.SW) and memory-bandwidth pressure (AB.BW).
 

@@ -2,7 +2,7 @@
 // paper's evaluation. Each runner produces a formatted table (for
 // cmd/experiments and EXPERIMENTS.md) and structured results (for tests and
 // benchmarks). The experiment index and the paper-reported reference values
-// live in DESIGN.md and EXPERIMENTS.md.
+// live in docs/architecture.md and EXPERIMENTS.md.
 package experiments
 
 import (

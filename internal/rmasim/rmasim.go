@@ -669,7 +669,7 @@ func (s *Sim) appResult(coreID int, c *coreState) AppResult {
 
 // refreshBaseTPI caches the baseline TPI of the core's current interval.
 func (c *coreState) refreshBaseTPI(db *simdb.DB, baseIdx int) {
-	c.baseTPI = db.PerfAt(c.id, c.phases[c.slice], baseIdx).TPI
+	c.baseTPI = db.PerfAt(c.id, c.phases[c.slice], baseIdx).TPI()
 }
 
 // refreshRates updates a core's TPI/EPI for its current interval + setting.
@@ -682,14 +682,9 @@ func (c *coreState) refreshRates(db *simdb.DB) {
 // zeroed rather than left at the previous setting's value, which would
 // charge reconfiguration-stall energy at a stale rate.
 func (c *coreState) setRates(pt *simdb.PerfPoint) {
-	c.tpi = pt.TPI
-	c.epi = pt.EPI
-	if pt.Seconds > 0 {
-		// Power drawn while stalled on a reconfiguration: leakage + uncore.
-		c.watts = (pt.Energy.CoreStat + pt.Energy.Uncore) / pt.Seconds
-	} else {
-		c.watts = 0
-	}
+	c.tpi = pt.TPI()
+	c.epi = pt.EPI()
+	c.watts = pt.StallWatts()
 }
 
 // applySettings installs new settings on all occupied cores, charging
@@ -759,17 +754,17 @@ func (c *coreState) gatherStats(db *simdb.DB, coreID, completed int, oracle bool
 //qosrma:noalloc
 func FillStats(db *simdb.DB, id simdb.BenchID, phase, setIdx, coreID int, oracle bool, st *core.IntervalStats) {
 	rec := db.RecordAt(id, phase)
-	pt := db.PerfAt(id, phase, setIdx)
+	s := db.Lattice.Setting(setIdx)
 	*st = core.IntervalStats{
 		Core:          coreID,
 		Key:           statsKey(id, phase, setIdx, oracle),
-		Setting:       db.Lattice.Setting(setIdx),
+		Setting:       s,
 		Instr:         trace.SliceInstructions,
-		Cycles:        pt.Cycles,
-		LLCAccesses:   pt.LLCAccesses,
+		Cycles:        db.PerfAt(id, phase, setIdx).Cycles,
+		LLCAccesses:   rec.LLCAccesses(),
 		BranchMisses:  rec.BranchMPKI * trace.SliceInstructions / 1000,
-		TotalMisses:   pt.Misses,
-		LeadingMisses: pt.Leading,
+		TotalMisses:   rec.MissesAt(s),
+		LeadingMisses: rec.LeadingAt(s),
 	}
 	if oracle {
 		st.ATDMisses = rec.Misses
@@ -815,7 +810,7 @@ func baselineRound(db *simdb.DB, id simdb.BenchID) (seconds, joules float64) {
 	for _, phase := range db.PhaseTraceAt(id) {
 		pt := db.PerfAt(id, phase, baseIdx)
 		seconds += pt.Seconds
-		joules += pt.EPI * pt.Instr
+		joules += pt.EPI() * trace.SliceInstructions
 	}
 	return seconds, joules
 }

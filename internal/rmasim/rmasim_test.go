@@ -243,7 +243,7 @@ func TestBaselineRoundAdditive(t *testing.T) {
 	}
 	tr, _ := db.PhaseTrace("mcf")
 	pt, _ := db.Perf("mcf", tr[0], db.Sys.BaselineSetting())
-	if secs < pt.Seconds || joules < pt.EPI*pt.Instr {
+	if secs < pt.Seconds || joules < pt.EPI()*trace.SliceInstructions {
 		t.Fatal("baseline round smaller than its first interval")
 	}
 	if secs <= 0 || joules <= 0 {

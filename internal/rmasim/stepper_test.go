@@ -8,7 +8,6 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/core"
-	"qosrma/internal/power"
 	"qosrma/internal/simdb"
 	"qosrma/internal/stats"
 	"qosrma/internal/trace"
@@ -375,12 +374,11 @@ func TestIntervalAuditAdditive(t *testing.T) {
 // rather than keep charging the previous setting's rate.
 func TestSetRatesZeroDuration(t *testing.T) {
 	c := &coreState{watts: 42}
-	c.setRates(&simdb.PerfPoint{Seconds: 0, TPI: 1e-9, EPI: 1e-9})
+	c.setRates(&simdb.PerfPoint{Seconds: 0, Energy: simdb.PointEnergy{J: 1, StallJ: 6}})
 	if c.watts != 0 {
 		t.Fatalf("watts = %v after zero-duration point, want 0", c.watts)
 	}
-	c.setRates(&simdb.PerfPoint{Seconds: 2, TPI: 1e-9, EPI: 1e-9,
-		Energy: power.Breakdown{CoreStat: 4, Uncore: 2}})
+	c.setRates(&simdb.PerfPoint{Seconds: 2, Energy: simdb.PointEnergy{J: 10, StallJ: 6}})
 	if c.watts != 3 {
 		t.Fatalf("watts = %v, want 3", c.watts)
 	}

@@ -129,8 +129,10 @@ func (r *Ring) owner(h uint64) int {
 	return i
 }
 
-// Hash is the routing hash: 64-bit FNV-1a, the same function the service
-// uses to spread canonical keys over its internal shards.
+// Hash is the routing hash: 64-bit FNV-1a over the canonical routing key.
+// It places keys on the ring only; the service spreads queries over its
+// internal shards with its own query hash, so tier placement and shard
+// placement are independent.
 func Hash(key []byte) uint64 { return hashOn(14695981039346656037, key) }
 
 // hashOn continues FNV-1a state h over b: hashOn(Hash(a), b) == Hash(a+b).

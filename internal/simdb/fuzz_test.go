@@ -5,6 +5,9 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"io"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,11 +58,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add(gzipped([]byte("WRONGMAG payload")))
 	f.Add(gzipped([]byte("QOSRMADB")))                 // magic, then EOF
 	f.Add(gzipped([]byte("QOSRMADB\x63\x00\x00\x00"))) // version 99
-	var v2garbage bytes.Buffer
-	io.WriteString(&v2garbage, "QOSRMADB")                             //nolint:errcheck
-	binary.Write(&v2garbage, binary.LittleEndian, uint32(2))           //nolint:errcheck
-	io.WriteString(&v2garbage, "this is not a gob stream either \x00") //nolint:errcheck
-	f.Add(gzipped(v2garbage.Bytes()))
+	var badGob bytes.Buffer
+	io.WriteString(&badGob, "QOSRMADB")                             //nolint:errcheck
+	binary.Write(&badGob, binary.LittleEndian, dbVersion)           //nolint:errcheck
+	io.WriteString(&badGob, "this is not a gob stream either \x00") //nolint:errcheck
+	f.Add(gzipped(badGob.Bytes()))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-7])
@@ -79,13 +82,32 @@ func FuzzLoad(f *testing.F) {
 		for id := 0; id < db.NumBenches(); id++ {
 			bid := BenchID(id)
 			for _, phase := range db.PhaseTraceAt(bid) {
-				if pt := db.PerfAt(bid, phase, baseIdx); pt.Instr < 0 {
-					t.Fatalf("negative instructions at %s phase %d", db.BenchName(bid), phase)
-				}
+				_ = db.PerfAt(bid, phase, baseIdx).Cycles
 				rec := db.RecordAt(bid, phase)
 				_ = rec.Misses[db.Lattice.NumWays-1]
 				_ = rec.Leading[db.Lattice.NumSizes-1][db.Lattice.NumWays-1]
 			}
 		}
 	})
+}
+
+// TestFuzzCorpusHoldsValidDB: the committed valid-db seed is a database
+// this build loads, so the fuzzer starts from the current format rather
+// than from a file the version check refuses.
+func TestFuzzCorpusHoldsValidDB(t *testing.T) {
+	b, err := os.ReadFile("testdata/fuzz/FuzzLoad/valid-db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(strings.TrimSpace(string(b)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(body, ")") {
+		t.Fatal("valid-db is not a []byte corpus entry")
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(strings.NewReader(data)); err != nil {
+		t.Fatalf("valid-db seed does not load: %v", err)
+	}
 }

@@ -3,6 +3,7 @@ package simdb
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qosrma/internal/arch"
 	"qosrma/internal/stats"
@@ -130,5 +131,14 @@ func TestBenchInterning(t *testing.T) {
 	}
 	if db.NumBenches() != len(db.Benches) {
 		t.Fatal("NumBenches mismatch")
+	}
+}
+
+// TestPerfPointSize pins the compiled point at four float64s: every
+// lattice point of every phase is one, so each byte here is 44,625 bytes
+// of every process that builds or loads the default 4-core database.
+func TestPerfPointSize(t *testing.T) {
+	if n := unsafe.Sizeof(PerfPoint{}); n > 32 {
+		t.Fatalf("PerfPoint is %d bytes, want at most 32", n)
 	}
 }

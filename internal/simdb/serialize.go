@@ -13,10 +13,12 @@ import (
 // version, and the gob-encoded database — including the compiled lattice
 // tables, so a loaded database is query-ready without recompilation.
 // Version 1 was the bare gob encoding of the map-keyed database; it carries
-// no magic and is rejected with a descriptive error.
+// no magic and is rejected with a descriptive error. Version 2 stored
+// fifteen float64s per compiled point; version 3 stores the 32-byte
+// PerfPoint. Older versions are rejected with a request to rebuild.
 const (
 	dbMagic   = "QOSRMADB"
-	dbVersion = uint32(2)
+	dbVersion = uint32(3)
 )
 
 // Save serializes the database, compiled tables included.

@@ -9,7 +9,10 @@
 // ways) setting lattice for every phase, so that the query hot path —
 // db.PerfAt(bench, phase, latticeIndex) — is a bounds-checked array read
 // (index arithmetic, no model re-evaluation, no map lookups, no error
-// plumbing). Benchmarks are interned: callers resolve a name to a BenchID
+// plumbing). A compiled point keeps 32 bytes (cycles, seconds, total and
+// stall energy); the rates and miss counts its readers need are derived
+// on read with the model's own float expressions, bit-identically.
+// Benchmarks are interned: callers resolve a name to a BenchID
 // once and use dense indices thereafter. The string-keyed API (Perf,
 // Record, PhaseTrace) remains as a thin compatibility wrapper, and
 // ReferencePerf retains the on-the-fly model evaluation the tables are
@@ -119,19 +122,80 @@ type recompileMemo struct {
 	byGBps map[float64]*DB
 }
 
-// PerfPoint is the outcome of one interval at one setting — the quantity
-// the RMA simulator schedules and accounts with.
+// PerfPoint is the compiled outcome of one interval at one setting — the
+// quantity the RMA simulator schedules and accounts with. It keeps only
+// the four values that cannot be recomputed bit-exactly from the others
+// or from the phase record: 32 bytes per lattice point. The rates (TPI,
+// EPI, IPS, StallWatts) are methods, and the interval's misses, leading
+// misses and LLC accesses are read from the PhaseRecord at the point's
+// setting (MissesAt, LeadingAt, LLCAccesses); each repeats the exact float
+// expression the model evaluation used, so every derived value is
+// bit-identical to the full evaluation.
 type PerfPoint struct {
-	Instr       float64
-	Cycles      float64
-	Seconds     float64
-	IPS         float64
-	TPI         float64
-	EPI         float64
-	Energy      power.Breakdown
-	Misses      float64
-	Leading     float64
-	LLCAccesses float64
+	Cycles  float64
+	Seconds float64
+	Energy  PointEnergy
+}
+
+// PointEnergy is an interval's energy in joules: the total of the
+// power.Breakdown, and the share drawn at a constant rate whatever the
+// core executes (leakage plus uncore), which a reconfiguration stall pays.
+type PointEnergy struct {
+	J      float64 // Breakdown.Total()
+	StallJ float64 // Breakdown.CoreStat + Breakdown.Uncore
+}
+
+// Total returns the interval's total energy in joules.
+func (e PointEnergy) Total() float64 { return e.J }
+
+// sliceInstr is the instruction count of one interval.
+const sliceInstr = float64(trace.SliceInstructions)
+
+// TPI returns seconds per instruction.
+func (pt PerfPoint) TPI() float64 { return pt.Seconds / sliceInstr }
+
+// EPI returns joules per instruction.
+func (pt PerfPoint) EPI() float64 { return pt.Energy.J / sliceInstr }
+
+// IPS returns instructions per second.
+func (pt PerfPoint) IPS() float64 { return sliceInstr / pt.Seconds }
+
+// StallWatts returns the power drawn while the core stalls on a
+// reconfiguration: leakage plus uncore. A degenerate zero-duration point
+// sustains no power draw.
+func (pt PerfPoint) StallWatts() float64 {
+	if pt.Seconds > 0 {
+		return pt.Energy.StallJ / pt.Seconds
+	}
+	return 0
+}
+
+// clampWays maps a way count onto the record's profile range.
+func (rec *PhaseRecord) clampWays(w int) int {
+	if w < 0 {
+		w = 0
+	}
+	if w >= len(rec.Misses) {
+		w = len(rec.Misses) - 1
+	}
+	return w
+}
+
+// MissesAt returns the LLC misses of one interval at setting s (exact
+// profile, ways clamped onto the profile).
+func (rec *PhaseRecord) MissesAt(s arch.Setting) float64 {
+	return rec.Misses[rec.clampWays(s.Ways)]
+}
+
+// LeadingAt returns the leading misses of one interval at setting s
+// (exact profile, ways clamped onto the profile).
+func (rec *PhaseRecord) LeadingAt(s arch.Setting) float64 {
+	return rec.Leading[s.Size][rec.clampWays(s.Ways)]
+}
+
+// LLCAccesses returns the LLC accesses of one interval.
+func (rec *PhaseRecord) LLCAccesses() float64 {
+	return rec.APKI * sliceInstr / 1000
 }
 
 // BuildOptions controls database construction.
@@ -538,7 +602,7 @@ func (db *DB) Perf(bench string, phase int, s arch.Setting) (PerfPoint, error) {
 // ReferencePerf evaluates the detailed model on the fly — the retained
 // reference implementation the lattice tables are compiled from. The
 // compiled Perf/PerfAt results are bit-identical to it by construction
-// (asserted by the golden tests).
+// (asserted by TestCompiledPerfMatchesReference).
 func (db *DB) ReferencePerf(bench string, phase int, s arch.Setting) (PerfPoint, error) {
 	rec, err := db.Record(bench, phase)
 	if err != nil {
@@ -550,22 +614,15 @@ func (db *DB) ReferencePerf(bench string, phase int, s arch.Setting) (PerfPoint,
 // evalPerf computes performance and energy from a phase record by direct
 // model evaluation.
 func evalPerf(sys *arch.SystemConfig, pw power.Params, rec *PhaseRecord, s arch.Setting) PerfPoint {
-	const instr = float64(trace.SliceInstructions)
-	w := s.Ways
-	if w < 0 {
-		w = 0
-	}
-	if w >= len(rec.Misses) {
-		w = len(rec.Misses) - 1
-	}
+	misses := rec.MissesAt(s)
 	op := sys.DVFS[s.FreqIdx]
 	cp := sys.Cores[s.Size]
 
 	in := timing.Inputs{
-		Instr:         instr,
+		Instr:         sliceInstr,
 		IlpIPC:        rec.IlpIPC,
 		BranchMPKI:    rec.BranchMPKI,
-		LeadingMisses: rec.Leading[s.Size][w],
+		LeadingMisses: rec.LeadingAt(s),
 		FreqGHz:       op.FreqGHz,
 		MemLatNs:      sys.Mem.LatencyNs,
 		Core:          cp,
@@ -575,31 +632,23 @@ func evalPerf(sys *arch.SystemConfig, pw power.Params, rec *PhaseRecord, s arch.
 	if cap := sys.Mem.PerCoreGBps; cap > 0 {
 		// Bandwidth-partitioned memory controller: one refinement step of
 		// the demand/latency fixed point is ample at interval granularity.
-		demand := rec.Misses[w] * float64(sys.LLC.LineB) / secs
+		demand := misses * float64(sys.LLC.LineB) / secs
 		in.MemLatNs = timing.BandwidthLatency(sys.Mem.LatencyNs, demand, cap*1e9)
 		cycles = timing.Cycles(in).Total()
 		secs = timing.Seconds(cycles, op.FreqGHz)
 	}
-	act := power.Activity{
-		Instr:       instr,
+	eb := power.Energy(pw, power.Activity{
+		Instr:       sliceInstr,
 		Seconds:     secs,
-		LLCAccesses: rec.APKI * instr / 1000,
-		DRAMAcc:     rec.Misses[w],
+		LLCAccesses: rec.LLCAccesses(),
+		DRAMAcc:     misses,
 		Core:        cp,
 		Op:          op,
-	}
-	eb := power.Energy(pw, act)
+	})
 	return PerfPoint{
-		Instr:       instr,
-		Cycles:      cycles,
-		Seconds:     secs,
-		IPS:         instr / secs,
-		TPI:         secs / instr,
-		EPI:         eb.Total() / instr,
-		Energy:      eb,
-		Misses:      rec.Misses[w],
-		Leading:     rec.Leading[s.Size][w],
-		LLCAccesses: act.LLCAccesses,
+		Cycles:  cycles,
+		Seconds: secs,
+		Energy:  PointEnergy{J: eb.Total(), StallJ: eb.CoreStat + eb.Uncore},
 	}
 }
 

@@ -138,13 +138,13 @@ func TestPerfBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.IPS <= 0 || pt.TPI <= 0 || pt.EPI <= 0 {
+	if pt.IPS() <= 0 || pt.TPI() <= 0 || pt.EPI() <= 0 {
 		t.Fatalf("degenerate perf point: %+v", pt)
 	}
-	if math.Abs(pt.IPS*pt.TPI-1) > 1e-9 {
+	if math.Abs(pt.IPS()*pt.TPI()-1) > 1e-9 {
 		t.Fatal("IPS and TPI inconsistent")
 	}
-	if math.Abs(pt.Seconds-pt.TPI*pt.Instr) > 1e-9 {
+	if math.Abs(pt.Seconds-pt.TPI()*trace.SliceInstructions) > 1e-9 {
 		t.Fatal("Seconds inconsistent with TPI")
 	}
 }
@@ -159,10 +159,10 @@ func TestPerfFrequencyMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt.IPS < prev-1e-6 {
+		if pt.IPS() < prev-1e-6 {
 			t.Fatalf("IPS decreased with frequency at idx %d", fi)
 		}
-		prev = pt.IPS
+		prev = pt.IPS()
 	}
 }
 
@@ -171,13 +171,16 @@ func TestPerfWaysHelpCacheSensitiveApp(t *testing.T) {
 	s := db.Sys.BaselineSetting()
 	s.Ways = 2
 	lo, _ := db.Perf("mcf", 0, s)
+	rec, _ := db.Record("mcf", 0)
+	loMisses := rec.MissesAt(s)
 	s.Ways = 12
 	hi, _ := db.Perf("mcf", 0, s)
-	if hi.IPS <= lo.IPS {
-		t.Fatalf("more ways did not help mcf: %v vs %v", hi.IPS, lo.IPS)
+	if hi.IPS() <= lo.IPS() {
+		t.Fatalf("more ways did not help mcf: %v vs %v", hi.IPS(), lo.IPS())
 	}
-	if hi.Energy.DRAM >= lo.Energy.DRAM {
-		t.Fatal("more ways did not cut DRAM energy for mcf")
+	// DRAM energy is a fixed cost per miss.
+	if rec.MissesAt(s) >= loMisses {
+		t.Fatal("more ways did not cut DRAM accesses for mcf")
 	}
 }
 
@@ -246,7 +249,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.EPI != p2.EPI || p1.TPI != p2.TPI {
+	if p1 != p2 {
 		t.Fatal("round-tripped database disagrees")
 	}
 }
@@ -290,8 +293,31 @@ func TestSaveLoadRoundTripsCompiledTables(t *testing.T) {
 	if !ok {
 		t.Fatal("loaded database lost the intern index")
 	}
-	if pt := db2.PerfAt(id, 0, db2.Lattice.Index(db2.Sys.BaselineSetting())); pt.IPS <= 0 {
+	if pt := db2.PerfAt(id, 0, db2.Lattice.Index(db2.Sys.BaselineSetting())); pt.IPS() <= 0 {
 		t.Fatalf("degenerate loaded perf point: %+v", pt)
+	}
+}
+
+// TestLoadRejectsVersion2: a file saved before the compact 32-byte
+// points (format version 2, fifteen float64s per point) is refused with
+// the request to rebuild, not decoded into the new layout.
+func TestLoadRejectsVersion2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testDB(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[len(dbMagic):], 2)
+	_, err = Load(bytes.NewReader(gzipped(raw)))
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "rebuild the database") {
+		t.Fatalf("version-2 database not rejected with the rebuild message: %v", err)
 	}
 }
 
