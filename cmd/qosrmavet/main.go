@@ -1,6 +1,7 @@
 // Command qosrmavet runs the repo-specific static-analysis suite over
-// the whole module: determinism, noalloc, shardowned, ctxdeadline and
-// exhaustive checks (see internal/analysis and docs/analysis.md).
+// the whole module: determinism, noalloc, shardowned, ctxdeadline,
+// exhaustive and testonly checks (see internal/analysis and
+// docs/analysis.md).
 //
 // Usage:
 //

@@ -13,6 +13,8 @@
 //   - ctxdeadline: every outbound dial/write in the routing tier carries
 //     a provable deadline
 //   - exhaustive: switches over in-repo enums cover every constant
+//   - testonly: exported declarations under internal/ have a caller
+//     outside test files
 //
 // Findings are suppressed only by `//qosrma:allow(<check>) <reason>` on
 // the same or the preceding line, so every exception is documented
@@ -46,10 +48,11 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// A Pass is one analyzer applied to one package.
+// A Pass is one analyzer applied to one package of a module.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	Module   *Module
 	diags    []Diagnostic
 }
 

@@ -3,8 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,7 +62,7 @@ func TestFixtures(t *testing.T) {
 	for _, a := range Suite {
 		byName[a.Name] = a
 	}
-	for _, name := range []string{"determinism", "noalloc", "shardowned", "ctxdeadline", "exhaustive"} {
+	for _, name := range []string{"determinism", "noalloc", "shardowned", "ctxdeadline", "exhaustive", "testonly"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			pkg, err := LoadDir("../..", dir, "qosrma/internal/analysis/testdata/src/"+name)
@@ -66,7 +71,7 @@ func TestFixtures(t *testing.T) {
 			}
 			want := expectations(t, pkg)
 			sites, malformed := allowsOf(pkg)
-			diags := append(malformed, runOne(pkg, byName[name], sites)...)
+			diags := append(malformed, runOne(&Module{Pkgs: []*Package{pkg}}, pkg, byName[name], sites)...)
 			for _, d := range diags {
 				key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
 				matched := false
@@ -137,4 +142,59 @@ func TestAllowParsing(t *testing.T) {
 			t.Errorf("%q: parsed check %q, want %q", tc.text, m[1], tc.check)
 		}
 	}
+}
+
+// LoadDir type-checks the single fixture package in dir under the given
+// import path (used by the golden-diagnostic tests). modroot anchors the
+// `go list` run that resolves the fixture's imports to export data.
+func LoadDir(modroot, dir, path string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var srcs, tests []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, name)
+		} else {
+			srcs = append(srcs, name)
+		}
+	}
+	fset := token.NewFileSet()
+	files, err := parseAll(fset, dir, srcs)
+	if err != nil {
+		return nil, err
+	}
+	testFiles, err := parseAll(fset, dir, tests)
+	if err != nil {
+		return nil, err
+	}
+	imports := map[string]bool{}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, err
+			}
+			imports[p] = true
+		}
+	}
+	var imp types.Importer
+	if len(imports) > 0 {
+		var pats []string
+		for p := range imports {
+			pats = append(pats, p)
+		}
+		sort.Strings(pats)
+		list, err := goList(modroot, pats...)
+		if err != nil {
+			return nil, err
+		}
+		imp = importer.ForCompiler(fset, "gc", exportLookup(list))
+	}
+	return checkFiles(fset, imp, path, dir, files, testFiles)
 }

@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -120,61 +119,6 @@ func LoadModule(root string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
-}
-
-// LoadDir type-checks the single fixture package in dir under the given
-// import path (used by the golden-diagnostic tests). modroot anchors the
-// `go list` run that resolves the fixture's imports to export data.
-func LoadDir(modroot, dir, path string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var srcs, tests []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") {
-			tests = append(tests, name)
-		} else {
-			srcs = append(srcs, name)
-		}
-	}
-	fset := token.NewFileSet()
-	files, err := parseAll(fset, dir, srcs)
-	if err != nil {
-		return nil, err
-	}
-	testFiles, err := parseAll(fset, dir, tests)
-	if err != nil {
-		return nil, err
-	}
-	imports := map[string]bool{}
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			p, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return nil, err
-			}
-			imports[p] = true
-		}
-	}
-	var imp types.Importer
-	if len(imports) > 0 {
-		var pats []string
-		for p := range imports {
-			pats = append(pats, p)
-		}
-		sort.Strings(pats)
-		list, err := goList(modroot, pats...)
-		if err != nil {
-			return nil, err
-		}
-		imp = importer.ForCompiler(fset, "gc", exportLookup(list))
-	}
-	return checkFiles(fset, imp, path, dir, files, testFiles)
 }
 
 func parseAll(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {

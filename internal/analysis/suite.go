@@ -6,7 +6,7 @@ import (
 )
 
 // Suite is every analyzer qosrmavet runs, in report order.
-var Suite = []*Analyzer{Determinism, Noalloc, Shardowned, Ctxdeadline, Exhaustive}
+var Suite = []*Analyzer{Determinism, Noalloc, Shardowned, Ctxdeadline, Exhaustive, Testonly}
 
 // deterministicPkgs are the packages that promise bit-identical output
 // (paper tables, replay hashes, cross-codec equivalence); the
@@ -30,6 +30,10 @@ func inScope(check, path string) bool {
 		return deterministicPkgs[path[strings.LastIndex(path, "/")+1:]]
 	case "ctxdeadline":
 		return strings.HasSuffix(path, "internal/route")
+	case "testonly":
+		// Commands, examples and the root package (the library's public
+		// API) are callers, not candidates.
+		return strings.Contains(path, "/internal/")
 	}
 	return true
 }
@@ -42,6 +46,7 @@ func Run(pkgs []*Package, checks []string) []Diagnostic {
 	for _, c := range checks {
 		sel[strings.TrimSpace(c)] = true
 	}
+	mod := &Module{Pkgs: pkgs}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sites, malformed := allowsOf(pkg)
@@ -53,17 +58,17 @@ func Run(pkgs []*Package, checks []string) []Diagnostic {
 			if !inScope(a.Name, pkg.Path) {
 				continue
 			}
-			out = append(out, runOne(pkg, a, sites)...)
+			out = append(out, runOne(mod, pkg, a, sites)...)
 		}
 	}
 	sortDiags(out)
 	return out
 }
 
-// runOne applies a single analyzer to a single package with suppression
-// but without scoping (the fixture tests call it directly).
-func runOne(pkg *Package, a *Analyzer, sites []allowSite) []Diagnostic {
-	pass := &Pass{Analyzer: a, Pkg: pkg}
+// runOne applies a single analyzer to a single package of mod with
+// suppression but without scoping (the fixture tests call it directly).
+func runOne(mod *Module, pkg *Package, a *Analyzer, sites []allowSite) []Diagnostic {
+	pass := &Pass{Analyzer: a, Pkg: pkg, Module: mod}
 	a.Run(pass)
 	var out []Diagnostic
 	for _, d := range pass.diags {

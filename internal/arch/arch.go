@@ -91,17 +91,6 @@ func DefaultDVFSTable() DVFSTable {
 	return t
 }
 
-// Index returns the position of the operating point with the given frequency,
-// or -1 if no point matches within tolerance.
-func (t DVFSTable) Index(freqGHz float64) int {
-	for i, op := range t {
-		if diff := op.FreqGHz - freqGHz; diff < 1e-9 && diff > -1e-9 {
-			return i
-		}
-	}
-	return -1
-}
-
 // ClosestIndex returns the index of the operating point nearest freqGHz.
 func (t DVFSTable) ClosestIndex(freqGHz float64) int {
 	best, bestDiff := 0, -1.0
@@ -124,9 +113,6 @@ type CacheParams struct {
 	LineB    int // line size in bytes
 	SampleIn int // ATD set-sampling factor: one in SampleIn sets is sampled
 }
-
-// SizeBytes returns the total LLC capacity.
-func (c CacheParams) SizeBytes() int { return c.Sets * c.Assoc * c.LineB }
 
 // MemParams describes the off-chip memory system. Bandwidth is assumed to be
 // partitioned equally among cores (see the thesis, Chapter 2 limitations).
@@ -215,11 +201,6 @@ func DefaultSystemConfig(numCores int) SystemConfig {
 
 // BaselineWays returns the equal-partition way allocation per core.
 func (s SystemConfig) BaselineWays() int { return s.LLC.Assoc / s.NumCores }
-
-// BaselineFreqGHz returns the baseline operating frequency.
-func (s SystemConfig) BaselineFreqGHz() float64 {
-	return s.DVFS[s.BaselineFreqIdx].FreqGHz
-}
 
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated invariant.

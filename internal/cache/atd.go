@@ -72,6 +72,8 @@ func log2(x int) int {
 // Access records one access. It returns the LRU stack distance of the line
 // within its set (-1 if the line was not resident in the tag stack, i.e. a
 // miss for every allocation), or -2 if the set is not sampled.
+//
+//qosrma:allow(testonly) per-access reference for Distances; rmasim's and simdb's tests and BenchmarkATDAccess drive it
 func (a *ATD) Access(lineAddr uint32) int {
 	var setIdx int
 	if a.setMask >= 0 {
@@ -126,6 +128,8 @@ func (a *ATD) Access(lineAddr uint32) int {
 // Misses returns the estimated total miss count for an allocation of w ways,
 // scaled up by the sampling factor. Under LRU inclusion this is exact when
 // SampleIn == 1.
+//
+//qosrma:allow(testonly) rmasim's and simdb's tests read the sampled estimate
 func (a *ATD) Misses(w int) float64 {
 	if w < 0 {
 		w = 0
@@ -140,34 +144,12 @@ func (a *ATD) Misses(w int) float64 {
 	return float64(m) * float64(a.sampleIn)
 }
 
-// Profile returns Misses(w) for every w in 0..assoc.
-func (a *ATD) Profile() []float64 {
-	p := make([]float64, a.assoc+1)
-	for w := 0; w <= a.assoc; w++ {
-		p[w] = a.Misses(w)
-	}
-	return p
-}
-
-// SampledAccesses returns the number of accesses that landed in sampled sets.
-func (a *ATD) SampledAccesses() uint64 { return a.n }
-
 // ResetCounters clears the hit/miss counters while keeping the tag stacks
 // warm, so that a warm-up stream can precede the measured stream (the 100M
 // warm-up slice of the thesis methodology).
+//
+//qosrma:allow(testonly) rmasim's and simdb's tests warm the directory before measuring
 func (a *ATD) ResetCounters() {
-	for i := range a.hits {
-		a.hits[i] = 0
-	}
-	a.deep = 0
-	a.n = 0
-}
-
-// Reset clears counters and tag stacks.
-func (a *ATD) Reset() {
-	for i := range a.lens {
-		a.lens[i] = 0
-	}
 	for i := range a.hits {
 		a.hits[i] = 0
 	}
@@ -236,6 +218,8 @@ func (a *ATD) distances(out []int16, accs []trace.Access) {
 
 // MissCount returns the number of misses in the stream for an allocation of
 // w ways given precomputed distances.
+//
+//qosrma:allow(testonly) refsim's and simdb's tests count misses from distances
 func MissCount(dists []int16, w int) int {
 	n := 0
 	for _, d := range dists {

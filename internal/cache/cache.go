@@ -33,6 +33,8 @@ type LLC struct {
 
 // NewLLC builds a cache with the given geometry and an initial equal
 // partition across numCores cores.
+//
+//qosrma:allow(testonly) the reference cache of the ATD tests and rmasim's partitioning test
 func NewLLC(sets, assoc, numCores int) *LLC {
 	if sets <= 0 || assoc <= 0 || numCores <= 0 {
 		panic("cache: invalid LLC geometry")
@@ -58,6 +60,8 @@ func NewLLC(sets, assoc, numCores int) *LLC {
 // and sum to at most the associativity. Lines beyond a core's new quota are
 // evicted lazily by subsequent replacements, which mirrors how hardware
 // repartitioning behaves.
+//
+//qosrma:allow(testonly) the reference cache of the ATD tests and rmasim's partitioning test
 func (c *LLC) SetPartition(quota []int) {
 	if len(quota) != len(c.quota) {
 		panic("cache: partition core-count mismatch")
@@ -75,11 +79,10 @@ func (c *LLC) SetPartition(quota []int) {
 	copy(c.quota, quota)
 }
 
-// Quota returns the current way allocation of the given core.
-func (c *LLC) Quota(core int) int { return c.quota[core] }
-
 // Access performs one cache access by the given core and reports whether it
 // hit. Addresses are line addresses; each core's address space is disjoint.
+//
+//qosrma:allow(testonly) the reference cache of the ATD tests and rmasim's partitioning test
 func (c *LLC) Access(core int, lineAddr uint32) bool {
 	c.clock++
 	setIdx := int(lineAddr) % c.sets
@@ -158,6 +161,8 @@ func (c *LLC) victim(set []line, core int) int {
 }
 
 // ResetStats clears the hit/miss counters.
+//
+//qosrma:allow(testonly) the reference cache of the ATD tests and rmasim's partitioning test
 func (c *LLC) ResetStats() {
 	for i := range c.Hits {
 		c.Hits[i] = 0

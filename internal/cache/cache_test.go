@@ -175,7 +175,7 @@ func TestATDReset(t *testing.T) {
 	atd.Access(1)
 	atd.Access(1)
 	atd.Reset()
-	if atd.SampledAccesses() != 0 || atd.Misses(4) != 0 {
+	if atd.n != 0 || atd.Misses(4) != 0 {
 		t.Fatal("reset did not clear state")
 	}
 }
@@ -270,14 +270,13 @@ func TestMLPDependentStreamStaysSerial(t *testing.T) {
 func TestMLPProfileShape(t *testing.T) {
 	stream := randomStream(16, 10000, 600)
 	dists := Distances(256, 8, nil, stream)
-	prof := MLPProfile(stream, dists, 8, 128, 8)
-	if len(prof) != 9 {
-		t.Fatalf("profile length %d", len(prof))
-	}
+	prev := AnalyzeMLP(stream, dists, 0, 128, 8)
 	for w := 1; w <= 8; w++ {
-		if prof[w].TotalMisses > prof[w-1].TotalMisses {
+		cur := AnalyzeMLP(stream, dists, w, 128, 8)
+		if cur.TotalMisses > prev.TotalMisses {
 			t.Fatalf("total misses grew with ways at %d", w)
 		}
+		prev = cur
 	}
 }
 
@@ -347,7 +346,7 @@ func TestUCPOptimalOnConvexProfiles(t *testing.T) {
 			profiles[i] = p
 		}
 		alloc := UCPLookahead(profiles, total, 1)
-		got := TotalMisses(profiles, alloc)
+		got := profiles[0][alloc[0]] + profiles[1][alloc[1]]
 		best := got
 		for w0 := 1; w0 < total; w0++ {
 			m := profiles[0][w0] + profiles[1][total-w0]
@@ -439,4 +438,14 @@ func FuzzATDProfileMonotone(f *testing.F) {
 			}
 		}
 	})
+}
+
+// MLP returns total/leading misses; a leading miss is charged the full
+// memory latency while overlapped misses hide behind it (leading-loads
+// model, cf. Su et al. ATC'14 / Miftakhutdinov et al. MICRO'12).
+func (r MLPResult) MLP() float64 {
+	if r.LeadingMisses == 0 {
+		return 1
+	}
+	return float64(r.TotalMisses) / float64(r.LeadingMisses)
 }

@@ -9,7 +9,8 @@ package cache
 //
 // With disjoint masks the ways assigned to a core form an isolated
 // k-way cache, which is the property the quota-based LLC and the ATD
-// approximate; the equivalence is verified in the tests.
+// approximate; the equivalence is verified in the tests. Nothing in
+// production partitions by mask, so the model lives with its tests.
 type MaskedLLC struct {
 	sets  int
 	assoc int

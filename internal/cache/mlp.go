@@ -9,16 +9,6 @@ type MLPResult struct {
 	LeadingMisses int // misses that contribute full latency to stall time
 }
 
-// MLP returns total/leading misses; a leading miss is charged the full
-// memory latency while overlapped misses hide behind it (leading-loads
-// model, cf. Su et al. ATC'14 / Miftakhutdinov et al. MICRO'12).
-func (r MLPResult) MLP() float64 {
-	if r.LeadingMisses == 0 {
-		return 1
-	}
-	return float64(r.TotalMisses) / float64(r.LeadingMisses)
-}
-
 // AnalyzeMLP implements the Paper II MLP-aware ATD extension in software:
 // given the access stream, its precomputed stack distances, a way allocation
 // w, and the core's ROB size and MSHR count, it detects which misses overlap
@@ -33,6 +23,8 @@ func (r MLPResult) MLP() float64 {
 // Otherwise it becomes the new leading miss. The hardware version of this
 // heuristic costs under 300 bytes per core (thesis §3.2); here it runs over
 // the sampled stream.
+//
+//qosrma:allow(testonly) per-(core, ways) reference for ProfileStream's fused scan; refsim's and simdb's tests and BenchmarkMLPAnalysis drive it
 func AnalyzeMLP(accs []trace.Access, dists []int16, w, robWindow, mshrs int) MLPResult {
 	var res MLPResult
 	var (
@@ -60,16 +52,4 @@ func AnalyzeMLP(accs []trace.Access, dists []int16, w, robWindow, mshrs int) MLP
 		haveEpoch = true
 	}
 	return res
-}
-
-// MLPProfile computes leading-miss counts for every way allocation in
-// 0..maxWays for one core configuration, in a single pass per allocation.
-// The result is the software equivalent of the per-configuration counters
-// the Paper II hardware extension maintains.
-func MLPProfile(accs []trace.Access, dists []int16, maxWays, robWindow, mshrs int) []MLPResult {
-	out := make([]MLPResult, maxWays+1)
-	for w := 0; w <= maxWays; w++ {
-		out[w] = AnalyzeMLP(accs, dists, w, robWindow, mshrs)
-	}
-	return out
 }

@@ -43,12 +43,6 @@ type StreamProfile struct {
 	Leading [][]int
 }
 
-// SampledMisses returns the set-sampling-scaled miss estimate at w ways —
-// what a hardware ATD with SampleIn-set sampling would report.
-func (p *StreamProfile) SampledMisses(w int) float64 {
-	return float64(p.SampledMissCount[w]) * float64(p.SampleIn)
-}
-
 // mlpState is the per-(core, ways) epoch state of the fused leading-miss
 // scan — the same three variables AnalyzeMLP tracks for a single (core,
 // ways) point, flattened into one contiguous array so the inner update

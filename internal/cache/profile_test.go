@@ -175,3 +175,24 @@ func TestProfileStreamPrefixConsistent(t *testing.T) {
 		}
 	}
 }
+
+// Profile returns Misses(w) for every w in 0..assoc.
+func (a *ATD) Profile() []float64 {
+	p := make([]float64, a.assoc+1)
+	for w := 0; w <= a.assoc; w++ {
+		p[w] = a.Misses(w)
+	}
+	return p
+}
+
+// Reset clears counters and tag stacks.
+func (a *ATD) Reset() {
+	for i := range a.lens {
+		a.lens[i] = 0
+	}
+	for i := range a.hits {
+		a.hits[i] = 0
+	}
+	a.deep = 0
+	a.n = 0
+}

@@ -65,16 +65,3 @@ func UCPLookahead(profiles [][]float64, totalWays, minWays int) []int {
 	}
 	return alloc
 }
-
-// TotalMisses evaluates an allocation against the profiles.
-func TotalMisses(profiles [][]float64, alloc []int) float64 {
-	var total float64
-	for i, p := range profiles {
-		w := alloc[i]
-		if w >= len(p) {
-			w = len(p) - 1
-		}
-		total += p[w]
-	}
-	return total
-}

@@ -67,7 +67,6 @@ type Proxy struct {
 	accepted   atomic.Uint64
 	refused    atomic.Uint64 // connections dropped while cut
 	resets     atomic.Uint64 // injected resets (incl. after partial writes)
-	partials   atomic.Uint64 // injected partial writes
 	blackholes atomic.Uint64 // connections blackholed
 
 	closeOnce sync.Once
@@ -76,6 +75,8 @@ type Proxy struct {
 
 // NewProxy listens on 127.0.0.1 (ephemeral port) and forwards every
 // accepted connection to target, injecting f's faults.
+//
+//qosrma:allow(testonly) the fault-injection proxy of the chaos wall's tests
 func NewProxy(target string, f Faults) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -88,12 +89,13 @@ func NewProxy(target string, f Faults) (*Proxy, error) {
 }
 
 // Addr is the proxy's listen address (host:port) — what clients dial.
+//
+//qosrma:allow(testonly) the fault-injection proxy of the chaos wall's tests
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target is the backend address the proxy forwards to.
-func (p *Proxy) Target() string { return p.target }
-
 // SetFaults replaces the fault mix for connections accepted from now on.
+//
+//qosrma:allow(testonly) the fault-injection proxy of the chaos wall's tests
 func (p *Proxy) SetFaults(f Faults) {
 	p.mu.Lock()
 	p.faults = f
@@ -105,6 +107,8 @@ func (p *Proxy) SetFaults(f Faults) {
 // established connection is torn down. The listener itself stays open, so
 // healing is instant — exactly like a crashed process returning on the
 // same port.
+//
+//qosrma:allow(testonly) the fault-injection proxy of the chaos wall's tests
 func (p *Proxy) SetCut(cut bool) {
 	p.mu.Lock()
 	p.cut = cut
@@ -120,14 +124,9 @@ func (p *Proxy) SetCut(cut bool) {
 	}
 }
 
-// Stats reports lifetime counters: connections accepted and refused, and
-// injected resets, partial writes and blackholes.
-func (p *Proxy) Stats() (accepted, refused, resets, partials, blackholes uint64) {
-	return p.accepted.Load(), p.refused.Load(), p.resets.Load(),
-		p.partials.Load(), p.blackholes.Load()
-}
-
 // Close stops accepting and tears down every connection.
+//
+//qosrma:allow(testonly) the fault-injection proxy of the chaos wall's tests
 func (p *Proxy) Close() {
 	p.closeOnce.Do(func() { p.ln.Close() })
 	p.mu.Lock()
@@ -245,7 +244,6 @@ func (p *Proxy) pump(src, dst net.Conn, rng *stats.RNG, f Faults, kill func()) {
 				kill()
 				return
 			case f.PartialWriteProb > 0 && rng.Float64() < f.PartialWriteProb && n > 1:
-				p.partials.Add(1)
 				dst.Write(buf[:n/2]) //nolint:errcheck // about to reset anyway
 				kill()
 				return

@@ -58,7 +58,7 @@ func TestProxyCleanForward(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echoed %q, want %q", got, msg)
 	}
-	accepted, _, resets, _, _ := p.Stats()
+	accepted, resets := p.accepted.Load(), p.resets.Load()
 	if accepted != 1 || resets != 0 {
 		t.Fatalf("accepted=%d resets=%d, want 1/0", accepted, resets)
 	}
@@ -84,8 +84,7 @@ func TestProxyResetInjection(t *testing.T) {
 	if _, err := c.Read(make([]byte, 8)); err == nil {
 		t.Fatal("read succeeded through a ResetProb=1 proxy")
 	}
-	_, _, resets, _, _ := p.Stats()
-	if resets == 0 {
+	if p.resets.Load() == 0 {
 		t.Fatal("no reset recorded")
 	}
 }
@@ -147,8 +146,7 @@ func TestProxyCutAndHeal(t *testing.T) {
 	if string(buf) != "ok" {
 		t.Fatalf("healed echo %q", buf)
 	}
-	_, refused, _, _, _ := p.Stats()
-	if refused == 0 {
+	if p.refused.Load() == 0 {
 		t.Fatal("no refused connection recorded during the cut")
 	}
 }
@@ -175,7 +173,7 @@ func TestProxyBlackhole(t *testing.T) {
 	if _, err := c.Read(make([]byte, 8)); err == nil {
 		t.Fatal("blackholed connection answered")
 	}
-	_, _, _, _, blackholes := p.Stats()
+	blackholes := p.blackholes.Load()
 	if blackholes != 1 {
 		t.Fatalf("blackholes=%d, want 1", blackholes)
 	}

@@ -95,9 +95,9 @@ func TestSettingsFromCurvesIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatal("DecideAll made no decision")
 	}
 	curves := m.decisionCurves()
-	alloc, ok := AllocateWays(curves, sys.LLC.Assoc)
+	alloc, ok := AllocateWaysInto(curves, sys.LLC.Assoc, new(WaysScratch))
 	if !ok {
-		t.Fatal("AllocateWays found no allocation")
+		t.Fatal("AllocateWaysInto found no allocation")
 	}
 	dst := SettingsFromCurvesInto(nil, curves, alloc)
 	got := testing.AllocsPerRun(100, func() {

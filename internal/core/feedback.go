@@ -111,17 +111,3 @@ func (t *FeedbackTable) MLPFor(st *IntervalStats, ways int) (float64, bool) {
 	}
 	return 0, false
 }
-
-// Phases returns the number of distinct phase signatures learned.
-func (t *FeedbackTable) Phases() int { return len(t.mlp) }
-
-// Observations returns the total number of recorded observations.
-func (t *FeedbackTable) Observations() int {
-	total := 0
-	for _, cells := range t.mlp {
-		for _, c := range cells {
-			total += c.n
-		}
-	}
-	return total
-}

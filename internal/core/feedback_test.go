@@ -48,8 +48,8 @@ func TestFeedbackSignatureAllocationInvariant(t *testing.T) {
 	if got != 1.6 {
 		t.Fatalf("recalled MLP %v, want 1.6", got)
 	}
-	if tbl.Phases() != 1 {
-		t.Fatalf("the two observations created %d phases, want 1", tbl.Phases())
+	if len(tbl.mlp) != 1 {
+		t.Fatalf("the two observations created %d phases, want 1", len(tbl.mlp))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestFeedbackDistinguishesPhases(t *testing.T) {
 	light := fakeStats(sys, 4.0, 1, missProfile(sys.LLC.Assoc, 5e4, 4e4, 3), 1.2)
 	tbl.Observe(heavy)
 	tbl.Observe(light)
-	if tbl.Phases() != 2 {
-		t.Fatalf("phases = %d, want 2", tbl.Phases())
+	if len(tbl.mlp) != 2 {
+		t.Fatalf("phases = %d, want 2", len(tbl.mlp))
 	}
 	if _, ok := tbl.MLPFor(light, 4); !ok {
 		t.Fatal("light phase not recallable")
@@ -117,19 +117,19 @@ func TestManagerFeedbackWiring(t *testing.T) {
 		Sys: sys, Power: power.DefaultParams(sys),
 		Scheme: SchemeCoordDVFSCache, Model: Model2, Feedback: true,
 	})
-	if m.FeedbackFor(0) == nil {
+	if m.feedback[0] == nil {
 		t.Fatal("feedback tables not created")
 	}
 	st := statsForCore(sys, 0, true)
 	m.Decide(0, st)
-	if m.FeedbackFor(0).Observations() != 1 {
+	if m.feedback[0].Observations() != 1 {
 		t.Fatal("Decide did not observe the interval")
 	}
 	if m.pred.Feedback != nil {
 		t.Fatal("predictor feedback pointer leaked past Decide")
 	}
 	m2 := NewManager(Config{Sys: sys, Power: power.DefaultParams(sys)})
-	if m2.FeedbackFor(0) != nil {
+	if m2.feedback != nil {
 		t.Fatal("feedback table present when disabled")
 	}
 }
@@ -175,4 +175,15 @@ func TestUncoordinatedWaitsForAllCores(t *testing.T) {
 	if _, ok := m.Decide(0, statsForCore(sys, 0, true)); ok {
 		t.Fatal("decided before warm-up completed")
 	}
+}
+
+// Observations returns the total number of recorded observations.
+func (t *FeedbackTable) Observations() int {
+	total := 0
+	for _, cells := range t.mlp {
+		for _, c := range cells {
+			total += c.n
+		}
+	}
+	return total
 }

@@ -218,3 +218,16 @@ func TestMLPFloorsAtOne(t *testing.T) {
 		t.Fatal("MLP with zero leading should be 1")
 	}
 }
+
+// Clone returns a deep copy of the statistics.
+func (s *IntervalStats) Clone() *IntervalStats {
+	c := *s
+	c.ATDMisses = append([]float64(nil), s.ATDMisses...)
+	if s.ATDLeading != nil {
+		c.ATDLeading = make([][]float64, len(s.ATDLeading))
+		for i := range s.ATDLeading {
+			c.ATDLeading[i] = append([]float64(nil), s.ATDLeading[i]...)
+		}
+	}
+	return &c
+}

@@ -13,7 +13,7 @@ import (
 func TestVacantCoresDonateWays(t *testing.T) {
 	m, sys := managerFor(SchemeCoordDVFSCache, Model2)
 	m.Vacate(3)
-	if m.Occupied(3) {
+	if m.occupied[3] {
 		t.Fatal("core 3 still occupied after Vacate")
 	}
 	var got []int
@@ -118,7 +118,7 @@ func TestIdleCurve(t *testing.T) {
 			t.Fatalf("idle curve not free at %d ways", w)
 		}
 	}
-	alloc, ok := AllocateWays([]*Curve{c}, sys.LLC.Assoc)
+	alloc, ok := AllocateWaysInto([]*Curve{c}, sys.LLC.Assoc, new(WaysScratch))
 	if !ok || alloc[0] != sys.LLC.Assoc {
 		t.Fatalf("idle-only allocation = %v, %v (want the full surplus)", alloc, ok)
 	}

@@ -163,23 +163,15 @@ type WaysScratch struct {
 	alloc    []int
 }
 
-// AllocateWays reduces the per-core energy curves to the optimum partition
-// of totalWays across cores: it minimizes the sum of curve values subject
-// to sum(w_j) == totalWays. Curves are reduced pairwise exactly as in the
-// paper's global optimization; the implementation folds left-to-right,
-// recording the split choice at every reduction so the final allocation can
-// be unwound. Returns nil and false when no feasible allocation exists.
-//
-// This convenience form allocates private scratch per call; hot paths
-// hold a WaysScratch and use AllocateWaysInto.
-func AllocateWays(curves []*Curve, totalWays int) ([]int, bool) {
-	var ws WaysScratch
-	return AllocateWaysInto(curves, totalWays, &ws)
-}
-
-// AllocateWaysInto is AllocateWays computing in ws's reusable buffers.
-// The returned allocation aliases ws and is valid until the next call
-// with the same scratch.
+// AllocateWaysInto reduces the per-core energy curves to the optimum
+// partition of totalWays across cores: it minimizes the sum of curve values
+// subject to sum(w_j) == totalWays. The paper's global optimization
+// (Figure 3) reduces the curves pairwise, E12(w1+w2) = min over splits of
+// E1(w1)+E2(w2); the fold evaluates that reduction left to right, recording
+// the split choice at every stage so the final allocation can be unwound.
+// Returns nil and false when no feasible allocation exists. It computes in
+// ws's reusable buffers: the returned allocation aliases ws and is valid
+// until the next call with the same scratch.
 //
 // Each stage copies curve i's EPIs into one row and pairs only the row's
 // non-+Inf range with the running row's: a total with a +Inf term never
@@ -290,15 +282,10 @@ func IdleCurve(assoc int, parked arch.Setting) *Curve {
 	return c
 }
 
-// SettingsFromCurves converts a way allocation back into complete per-core
-// settings using each curve's per-way optimum.
-func SettingsFromCurves(curves []*Curve, alloc []int) []arch.Setting {
-	return SettingsFromCurvesInto(nil, curves, alloc)
-}
-
-// SettingsFromCurvesInto is SettingsFromCurves writing into dst's backing
-// array when it is large enough (the Manager reuses its settings slice
-// across decisions).
+// SettingsFromCurvesInto converts a way allocation back into complete
+// per-core settings using each curve's per-way optimum, writing into dst's
+// backing array when it is large enough (the Manager reuses its settings
+// slice across decisions).
 //
 //qosrma:noalloc
 func SettingsFromCurvesInto(dst []arch.Setting, curves []*Curve, alloc []int) []arch.Setting {
@@ -313,8 +300,7 @@ func SettingsFromCurvesInto(dst []arch.Setting, curves []*Curve, alloc []int) []
 	return dst
 }
 
-// TotalEPI evaluates an allocation against the curves (for tests and
-// diagnostics).
+// TotalEPI evaluates an allocation against the curves.
 func TotalEPI(curves []*Curve, alloc []int) float64 {
 	var sum float64
 	for i, c := range curves {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,7 +133,7 @@ func TestAllocateWaysMatchesBruteForce(t *testing.T) {
 		for i := range curves {
 			curves[i] = randomCurve(rng, assoc, assoc-(n-1))
 		}
-		alloc, ok := AllocateWays(curves, assoc)
+		alloc, ok := AllocateWaysInto(curves, assoc, new(WaysScratch))
 		if !ok {
 			return false
 		}
@@ -170,7 +171,7 @@ func TestAllocateWaysUsesAllWays(t *testing.T) {
 		randomCurve(rng, 16, 13), randomCurve(rng, 16, 13),
 		randomCurve(rng, 16, 13), randomCurve(rng, 16, 13),
 	}
-	alloc, ok := AllocateWays(curves, 16)
+	alloc, ok := AllocateWaysInto(curves, 16, new(WaysScratch))
 	if !ok {
 		t.Fatal("allocation failed")
 	}
@@ -191,10 +192,10 @@ func TestAllocateWaysInfeasible(t *testing.T) {
 	for w := range c.Options {
 		c.Options[w] = Option{EPI: math.Inf(1)}
 	}
-	if _, ok := AllocateWays([]*Curve{c, c}, 8); ok {
+	if _, ok := AllocateWaysInto([]*Curve{c, c}, 8, new(WaysScratch)); ok {
 		t.Fatal("expected infeasibility")
 	}
-	if _, ok := AllocateWays(nil, 8); ok {
+	if _, ok := AllocateWaysInto(nil, 8, new(WaysScratch)); ok {
 		t.Fatal("empty input should be infeasible")
 	}
 }
@@ -248,6 +249,27 @@ func allocateWaysReference(curves []*Curve, totalWays int) ([]int, bool) {
 	}
 	alloc[0] = W
 	return alloc, true
+}
+
+// FuzzAllocateWaysEquivalence: AllocateWaysInto returns the reference
+// loop's (alloc, ok) for any seed's random curve set.
+func FuzzAllocateWaysEquivalence(f *testing.F) {
+	f.Add(uint64(1))
+	f.Add(uint64(42))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := stats.NewRNG(seed)
+		const assoc = 8
+		n := 2 + rng.Intn(3)
+		curves := make([]*Curve, n)
+		for i := range curves {
+			curves[i] = randomCurve(rng, assoc, assoc-(n-1))
+		}
+		want, wantOK := allocateWaysReference(curves, assoc)
+		got, gotOK := AllocateWaysInto(curves, assoc, new(WaysScratch))
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("got %v ok=%v, reference %v ok=%v", got, gotOK, want, wantOK)
+		}
+	})
 }
 
 // holeyCurve builds a curve of up to assoc+1 options (short Options
@@ -318,7 +340,7 @@ func TestSettingsFromCurves(t *testing.T) {
 	rng := stats.NewRNG(9)
 	curves := []*Curve{randomCurve(rng, 8, 7), randomCurve(rng, 8, 7)}
 	curves[0].Options[3] = Option{Size: arch.SizeLarge, FreqIdx: 5, EPI: 0.5, Feasible: true}
-	s := SettingsFromCurves(curves, []int{3, 5})
+	s := SettingsFromCurvesInto(nil, curves, []int{3, 5})
 	if s[0].Ways != 3 || s[0].Size != arch.SizeLarge || s[0].FreqIdx != 5 {
 		t.Fatalf("settings wrong: %+v", s[0])
 	}

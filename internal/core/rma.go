@@ -188,9 +188,6 @@ func (m *Manager) Occupy(core int) {
 	m.vacant--
 }
 
-// Occupied reports whether an application currently occupies the core.
-func (m *Manager) Occupied(core int) bool { return m.occupied[core] }
-
 // Rebaseline returns every core to the baseline allocation — the safe
 // equal partition an arrival falls back to until fresh statistics let the
 // optimization repartition — and returns the settings for the simulator to
@@ -226,15 +223,6 @@ func (m *Manager) decisionCurves() []*Curve {
 
 // Scheme returns the configured scheme.
 func (m *Manager) Scheme() Scheme { return m.cfg.Scheme }
-
-// FeedbackFor exposes a core's phase-history table (nil when the feedback
-// extension is disabled). Diagnostics only.
-func (m *Manager) FeedbackFor(core int) *FeedbackTable {
-	if m.feedback == nil {
-		return nil
-	}
-	return m.feedback[core]
-}
 
 // computeLocalOptions derives the per-core search space for the configured
 // scheme; NewManager precomputes it once per core (localOptions reads it).

@@ -60,19 +60,6 @@ type IntervalStats struct {
 	IlpIPC float64
 }
 
-// Clone returns a deep copy of the statistics.
-func (s *IntervalStats) Clone() *IntervalStats {
-	c := *s
-	c.ATDMisses = append([]float64(nil), s.ATDMisses...)
-	if s.ATDLeading != nil {
-		c.ATDLeading = make([][]float64, len(s.ATDLeading))
-		for i := range s.ATDLeading {
-			c.ATDLeading[i] = append([]float64(nil), s.ATDLeading[i]...)
-		}
-	}
-	return &c
-}
-
 // MLP returns the measured memory-level parallelism of the interval.
 func (s *IntervalStats) MLP() float64 {
 	if s.LeadingMisses <= 0 {

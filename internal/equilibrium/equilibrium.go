@@ -17,7 +17,7 @@
 // in a seeded round-robin order until a full round passes without a move
 // (the fixed point), with profile-history cycle detection aborting
 // non-convergent starts. Every fixed point is then re-verified from
-// scratch by the no-improvement certificate (Verify) — the fixed point
+// scratch by the no-improvement certificate (verify) — the fixed point
 // IS a pure NE, checked exhaustively, not assumed from the dynamics'
 // bookkeeping. A ZERO-regrets-style master loop explores K seeded starts
 // and returns the certified equilibrium with the best fleet objective
@@ -95,7 +95,7 @@ type Equilibrium struct {
 	Start int
 	// Starts is the number of starts explored.
 	Starts int
-	// Certified reports that Verify confirmed the no-improvement
+	// Certified reports that verify confirmed the no-improvement
 	// certificate. Solve only returns certified equilibria.
 	Certified bool
 }
@@ -509,30 +509,16 @@ func tenantLists(sc *sched.Scorer, players []simdb.BenchID, assign []int, machin
 	return out
 }
 
-// Verify checks the no-improvement certificate from scratch: for every
+// verify checks the no-improvement certificate from scratch: for every
 // player and every feasible alternative machine, the unilateral deviation
 // payoff must not beat the player's current payoff by more than Tol. It
-// rebuilds the occupancy from assign and shares no dynamics state with
-// Solve, so a true result is an independent proof that assign is a pure
-// Nash equilibrium of the scorer's game. It does share the scorer's
-// payoff memo: a payoff the dynamics already queried is a memo hit, which
-// returns the bits the oracle computed for that same ordered tenant tuple,
-// so the certificate is exactly the one a cold oracle would give.
-func Verify(sc *sched.Scorer, players []string, assign []int, cfg Config) (bool, error) {
-	cfg, err := cfg.withDefaults(sc, len(players))
-	if err != nil {
-		return false, err
-	}
-	ids, err := sc.AppendIDs(nil, players)
-	if err != nil {
-		return false, err
-	}
-	return verify(sc, ids, assign, cfg)
-}
-
-// verify is Verify over interned players and a defaulted config. It
-// rebuilds its own tenant lists from assign and queries the scorer
-// directly, so it reads nothing of the dynamics' lists or caches.
+// rebuilds its own tenant lists from assign, queries the scorer directly
+// and shares no dynamics state with Solve, so a true result is an
+// independent proof that assign is a pure Nash equilibrium of the
+// scorer's game. It does share the scorer's payoff memo: a payoff the
+// dynamics already queried is a memo hit, which returns the bits the
+// oracle computed for that same ordered tenant tuple, so the certificate
+// is exactly the one a cold oracle would give. cfg must be defaulted.
 func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config) (bool, error) {
 	g := newGame(sc, players, cfg, nil)
 	if err := g.place(assign); err != nil {
@@ -569,6 +555,8 @@ func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config)
 // starts share. When every start cycles, exceeds MaxRounds or
 // fails the certificate, the error wraps ErrNoEquilibrium — callers with
 // a fallback policy (the cluster engine) degrade on that error alone.
+//
+//qosrma:allow(testonly) perfbench calls it
 func Solve(sc *sched.Scorer, players []string, cfg Config) (*Equilibrium, error) {
 	ids, err := sc.AppendIDs(make([]simdb.BenchID, 0, len(players)), players)
 	if err != nil {

@@ -68,7 +68,7 @@ func feasibleProfiles(n, machines, capacity int) [][]int {
 
 // isNashManual checks the no-deviation property from first principles —
 // straight Scorer calls, no package machinery — so the certificate tests
-// do not assume Verify itself is correct.
+// do not assume verify itself is correct.
 func isNashManual(t *testing.T, sc *sched.Scorer, players []string, assign []int, machines, capacity int, tol float64) bool {
 	t.Helper()
 	occ := make([]int, machines)
@@ -110,7 +110,7 @@ func isNashManual(t *testing.T, sc *sched.Scorer, players []string, assign []int
 
 // TestSolveCertificate: Solve's result must be certified, and the
 // no-deviation property must hold under an exhaustive manual check that
-// shares no code with Verify.
+// shares no code with verify.
 func TestSolveCertificate(t *testing.T) {
 	db := testDB(t)
 	sc := sched.NewScorer(db)
@@ -155,7 +155,7 @@ func TestSolveCertificate(t *testing.T) {
 }
 
 // TestVerifyMatchesExhaustiveCheck sweeps every feasible profile of a
-// small game: Verify must agree with the manual first-principles check on
+// small game: verify must agree with the manual first-principles check on
 // each one, and the game must contain both equilibria and non-equilibria
 // (so the certificate genuinely discriminates).
 func TestVerifyMatchesExhaustiveCheck(t *testing.T) {
@@ -166,12 +166,12 @@ func TestVerifyMatchesExhaustiveCheck(t *testing.T) {
 	nash, other := 0, 0
 	for _, assign := range feasibleProfiles(len(players), cfg.Machines, cfg.Capacity) {
 		want := isNashManual(t, sc, players, assign, cfg.Machines, cfg.Capacity, 1e-12)
-		got, err := Verify(sc, players, assign, cfg)
+		got, err := verifyNames(sc, players, assign, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("Verify(%v) = %v, manual check %v", assign, got, want)
+			t.Fatalf("verify(%v) = %v, manual check %v", assign, got, want)
 		}
 		if want {
 			nash++
@@ -281,11 +281,11 @@ func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(sc, nil, Config{Machines: 2, Capacity: 2}); err == nil {
 		t.Fatal("empty player list accepted")
 	}
-	if _, err := Verify(sc, players, []int{0}, Config{Machines: 2, Capacity: 2}); err == nil {
-		t.Fatal("short assignment accepted by Verify")
+	if _, err := verifyNames(sc, players, []int{0}, Config{Machines: 2, Capacity: 2}); err == nil {
+		t.Fatal("short assignment accepted by verify")
 	}
-	if _, err := Verify(sc, players, []int{1, 1, 1}, Config{Machines: 2, Capacity: 2}); err == nil {
-		t.Fatal("overfull assignment accepted by Verify")
+	if _, err := verifyNames(sc, players, []int{1, 1, 1}, Config{Machines: 2, Capacity: 2}); err == nil {
+		t.Fatal("overfull assignment accepted by verify")
 	}
 }
 
@@ -499,7 +499,7 @@ func TestSolveMatchesReference(t *testing.T) {
 
 // TestSolveErrors: a game that cannot converge within MaxRounds reports
 // ErrNoEquilibrium; an unknown player is an input error, not a missing
-// equilibrium, from Solve and from Verify alike.
+// equilibrium.
 func TestSolveErrors(t *testing.T) {
 	db := testDB(t)
 	sc := sched.NewScorer(db)
@@ -507,7 +507,7 @@ func TestSolveErrors(t *testing.T) {
 	cfg := Config{Machines: 3, Capacity: 2, Restarts: 1, MaxRounds: 1, Seed: 1}
 	var initial []int
 	for _, assign := range feasibleProfiles(len(players), cfg.Machines, cfg.Capacity) {
-		ok, err := Verify(sc, players, assign, cfg)
+		ok, err := verifyNames(sc, players, assign, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,9 +529,6 @@ func TestSolveErrors(t *testing.T) {
 	unknown := append([]string{"nosuch"}, players[1:]...)
 	if _, err := Solve(sc, unknown, Config{Machines: 3, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
 		t.Fatalf("unknown player: Solve returned %v", err)
-	}
-	if _, err := Verify(sc, unknown, []int{0, 0, 1, 1}, Config{Machines: 3, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
-		t.Fatalf("unknown player: Verify returned %v", err)
 	}
 	bad := []simdb.BenchID{0, simdb.BenchID(db.NumBenches())}
 	if _, err := SolveIDs(sc, bad, Config{Machines: 2, Capacity: 2}); err == nil || errors.Is(err, ErrNoEquilibrium) {
@@ -749,4 +746,18 @@ func TestBestResponseAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm best-response round allocates %.1f objects, want 0", allocs)
 	}
+}
+
+// verifyNames runs the certificate over named players with a defaulted
+// config, as Solve does after interning.
+func verifyNames(sc *sched.Scorer, players []string, assign []int, cfg Config) (bool, error) {
+	cfg, err := cfg.withDefaults(sc, len(players))
+	if err != nil {
+		return false, err
+	}
+	ids, err := sc.AppendIDs(nil, players)
+	if err != nil {
+		return false, err
+	}
+	return verify(sc, ids, assign, cfg)
 }

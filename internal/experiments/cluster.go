@@ -136,6 +136,8 @@ func ClusterCompareTable(rows []ClusterCompareRow, title string) *Table {
 
 // WriteClusterCompareCSV renders the comparison rows as CSV with stable
 // formatting — the byte-diffed golden form (testdata/golden).
+//
+//qosrma:allow(testonly) the golden cluster-comparison test renders its rows
 func WriteClusterCompareCSV(w io.Writer, rows []ClusterCompareRow) error {
 	if _, err := fmt.Fprintln(w,
 		"placement,fleet_savings,violations,mean_wait_sec,makespan_sec,min_job_savings,max_job_savings,spread,stdev"); err != nil {

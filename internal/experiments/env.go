@@ -72,8 +72,10 @@ var (
 	sharedErr  error
 )
 
-// SharedEnv returns a lazily built process-wide environment, so tests,
-// benchmarks and commands build the databases exactly once.
+// SharedEnv returns a lazily built process-wide environment, so the tests
+// and benchmarks of one process build the databases exactly once.
+//
+//qosrma:allow(testonly) the experiments tests and the root benchmarks share one build
 func SharedEnv() (*Env, error) {
 	sharedOnce.Do(func() { sharedEnv, sharedErr = BuildEnv() })
 	return sharedEnv, sharedErr
@@ -94,9 +96,6 @@ var defaultEngine = sweep.NewEngine()
 // execute on (commands use it to install emitters and report cache
 // statistics).
 func Engine() *sweep.Engine { return defaultEngine }
-
-// Execute runs one spec serially, bypassing the engine's cache.
-func Execute(spec RunSpec) (*rmasim.Result, error) { return sweep.Execute(spec) }
 
 // ExecuteAll runs the specs on the shared engine's bounded worker pool and
 // returns results in input order. Duplicate points are simulated once, and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qosrma/internal/core"
+	"qosrma/internal/sweep"
 	"qosrma/internal/workload"
 )
 
@@ -234,7 +235,7 @@ func TestExecuteBaselineOverride(t *testing.T) {
 		Model: core.Model3, Oracle: true,
 		BaselineFreqIdx: e.DB4.Sys.DVFS.ClosestIndex(2.4),
 	}
-	res, err := Execute(spec)
+	res, err := sweep.Execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ func (s *SavingsResult) Avg() float64 { return stats.Mean(s.PerMix) }
 // Max returns the best savings across mixes.
 func (s *SavingsResult) Max() float64 { return stats.Max(s.PerMix) }
 
-// Min returns the worst savings across mixes.
-func (s *SavingsResult) Min() float64 { return stats.Min(s.PerMix) }
-
 // EnergySavingsExperiment reproduces Paper I's headline figures: per-mix
 // system energy savings for a set of schemes (P1.F4 with 4-core mixes,
 // P1.F8 with 8-core mixes).

@@ -38,22 +38,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Observations are lock-free
 // atomic adds; the scrape renders cumulative Prometheus buckets plus the
@@ -93,15 +79,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -234,15 +211,6 @@ func (r *Registry) CounterFunc(name, help, labels string, fn func() float64) {
 	r.register(name, help, "counter", labels, func(w io.Writer, n, l string) {
 		fmt.Fprintf(w, "%s%s %s\n", n, l, formatFloat(fn()))
 	})
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", labels, func(w io.Writer, n, l string) {
-		fmt.Fprintf(w, "%s%s %s\n", n, l, formatFloat(g.Value()))
-	})
-	return g
 }
 
 // GaugeFunc registers a gauge computed by fn at scrape time.

@@ -13,10 +13,11 @@ import (
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("zz_total", "trailing family", "")
-	c.Add(3)
+	for range 3 {
+		c.Inc()
+	}
 	r.CounterFunc("aa_total", "leading family", Labels("shard", "0"), func() float64 { return 7 })
-	g := r.Gauge("mid_gauge", "a gauge", Labels("k", `va"l`))
-	g.Set(1.5)
+	r.GaugeFunc("mid_gauge", "a gauge", Labels("k", `va"l`), func() float64 { return 1.5 })
 	r.InfoFunc("build_info", "version payload", func() string { return Labels("hash", "abc") })
 	h := r.Histogram("lat_seconds", "latency", "", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -192,4 +193,13 @@ func TestCheckerPeriodic(t *testing.T) {
 	if _, ok := c.Last(); !ok {
 		t.Fatal("no report after periodic audits")
 	}
+}
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }

@@ -83,11 +83,3 @@ func EPI(p Params, a Activity) float64 {
 	}
 	return Energy(p, a).Total() / a.Instr
 }
-
-// Watts returns the average power over the window.
-func Watts(p Params, a Activity) float64 {
-	if a.Seconds <= 0 {
-		return 0
-	}
-	return Energy(p, a).Total() / a.Seconds
-}

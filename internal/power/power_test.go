@@ -85,16 +85,9 @@ func TestEPIAndWatts(t *testing.T) {
 	if got := EPI(p, a); got != e/a.Instr {
 		t.Fatalf("EPI = %v", got)
 	}
-	if got := Watts(p, a); got != e/a.Seconds {
-		t.Fatalf("Watts = %v", got)
-	}
 	a.Instr = 0
 	if EPI(p, a) != 0 {
 		t.Fatal("EPI with zero instructions should be 0")
-	}
-	a.Seconds = 0
-	if Watts(p, a) != 0 {
-		t.Fatal("Watts with zero time should be 0")
 	}
 }
 
@@ -103,7 +96,7 @@ func TestBaselinePowerPlausible(t *testing.T) {
 	// in the low single-digit watts — the regime of the paper's system.
 	p := DefaultParams(arch.DefaultSystemConfig(4))
 	a := testActivity()
-	w := Watts(p, a)
+	w := Energy(p, a).Total() / a.Seconds
 	if w < 1 || w > 10 {
 		t.Fatalf("baseline per-core power %v W, want 1..10 W", w)
 	}

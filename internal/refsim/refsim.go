@@ -51,6 +51,8 @@ type miss struct {
 // dists its per-access LRU stack distances, as computed by
 // cache.Distances(sets, assoc, warmup, accs) — the shared exact-ATD pass,
 // which warms the tag stacks with the warm-up prefix before measuring.
+//
+//qosrma:allow(testonly) the package is a validation oracle its tests run against the timing model
 func Run(cfg Config, accs []trace.Access, dists []int16) Result {
 	effIPC := cfg.IlpIPC
 	if w := float64(cfg.Core.Width); effIPC > w {

@@ -133,7 +133,6 @@ type coreState struct {
 	energy     float64 // energy accumulated during round 0
 	tpi        float64 // current time per instruction
 	epi        float64 // current energy per instruction
-	watts      float64 // current power (for stall energy)
 	firstRound bool    // true while in round 0
 
 	intervalStart float64 // wall time when the current interval began
@@ -285,11 +284,10 @@ func (s *Sim) Depart(coreID int) (AppResult, error) {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.tNow }
 
-// Events returns the number of processed completion events.
-func (s *Sim) Events() int { return s.events }
-
 // InFirstRound returns how many occupied cores have not yet completed
 // their first full round.
+//
+//qosrma:allow(testonly) BenchmarkRMASimStep restarts its simulation when the first round ends
 func (s *Sim) InFirstRound() int { return s.inFirstRound }
 
 // Occupied returns the number of cores currently hosting an application.
@@ -302,13 +300,6 @@ func (s *Sim) Occupied() int {
 	}
 	return n
 }
-
-// Retired returns the total instructions retired across all cores so far.
-func (s *Sim) Retired() float64 { return s.retired }
-
-// CompletedIntervals returns the number of completed 100M-instruction
-// intervals across all cores.
-func (s *Sim) CompletedIntervals() int { return s.completedIntervals }
 
 // Audit returns the interval-level QoS audit counters so far.
 func (s *Sim) Audit() (intervals, violations int) {
@@ -334,53 +325,6 @@ func (s *Sim) NextEventTime() float64 {
 	return s.tNow + next
 }
 
-// Snapshot is a point-in-time view of a simulation.
-type Snapshot struct {
-	TimeSec      float64
-	Events       int
-	InFirstRound int
-	Cores        []CoreSnapshot
-}
-
-// CoreSnapshot describes one core's occupancy and progress.
-type CoreSnapshot struct {
-	Occupied   bool
-	Bench      string
-	Round      int
-	Slice      int // index into the phase trace of the current interval
-	NumSlices  int
-	Setting    arch.Setting
-	FirstRound bool
-	StartSec   float64
-}
-
-// Snapshot captures the current simulation state (for diagnostics,
-// progress reporting and per-machine dashboards).
-func (s *Sim) Snapshot() Snapshot {
-	snap := Snapshot{
-		TimeSec:      s.tNow,
-		Events:       s.events,
-		InFirstRound: s.inFirstRound,
-		Cores:        make([]CoreSnapshot, len(s.cores)),
-	}
-	for i, c := range s.cores {
-		if c == nil {
-			continue
-		}
-		snap.Cores[i] = CoreSnapshot{
-			Occupied:   true,
-			Bench:      c.bench,
-			Round:      c.round,
-			Slice:      c.slice,
-			NumSlices:  len(c.phases),
-			Setting:    c.setting,
-			FirstRound: c.firstRound,
-			StartSec:   c.start,
-		}
-	}
-	return snap
-}
-
 // retire advances a core by instr instructions, charging energy and the
 // instruction-weighted allocation usage while the core is in its scored
 // first round.
@@ -402,7 +346,7 @@ func (s *Sim) retire(c *coreState, instr float64) {
 // execution round during this event — the open-system departure signal —
 // in core order; the returned slice is reused by the next Step call. The
 // Options.MaxEvents safety net is enforced here, so every caller — Run,
-// RunUntil, the cluster engine, direct steppers — shares one budget guard.
+// the cluster engine, direct steppers — shares one budget guard.
 //
 // Cores whose own completion defines the horizon retire exactly their
 // remaining instructions: rem and stall reach exactly zero, so completion
@@ -443,7 +387,7 @@ func (s *Sim) Step() ([]int, error) {
 			// and retire the exact remainder of the interval.
 			if c.stall > 0 {
 				if c.firstRound {
-					c.energy += c.watts * c.stall // stalled core still leaks
+					c.energy += c.stallWatts(s.db) * c.stall // stalled core still leaks
 				}
 				c.stall = 0
 			}
@@ -456,7 +400,7 @@ func (s *Sim) Step() ([]int, error) {
 			c.stall -= burn
 			dt -= burn
 			if c.firstRound {
-				c.energy += c.watts * burn
+				c.energy += c.stallWatts(s.db) * burn
 			}
 		}
 		if dt <= 0 {
@@ -536,8 +480,8 @@ func intervalViolation(dt, base, slack float64) (violated bool, magnitudePct flo
 
 // AdvanceTo moves the clock to absolute time t without crossing an
 // interval completion: every running core advances partially. The caller
-// must ensure t does not exceed NextEventTime (RunUntil and the cluster
-// engine do); t before the current time is an error.
+// must ensure t does not exceed NextEventTime (the cluster engine does);
+// t before the current time is an error.
 func (s *Sim) AdvanceTo(t float64) error {
 	span := t - s.tNow
 	if span < 0 {
@@ -556,7 +500,7 @@ func (s *Sim) AdvanceTo(t float64) error {
 			c.stall -= burn
 			dt -= burn
 			if c.firstRound {
-				c.energy += c.watts * burn
+				c.energy += c.stallWatts(s.db) * burn
 			}
 		}
 		if dt <= 0 {
@@ -570,26 +514,6 @@ func (s *Sim) AdvanceTo(t float64) error {
 	}
 	s.tNow = t
 	return nil
-}
-
-// RunUntil advances the simulation to absolute time t, processing every
-// completion event scheduled up to and including t, and returns the cores
-// whose applications finished a full round on the way (in event order).
-func (s *Sim) RunUntil(t float64) ([]int, error) {
-	var finished []int
-	for s.NextEventTime() <= t {
-		f, err := s.Step()
-		if err != nil {
-			return finished, err
-		}
-		finished = append(finished, f...)
-	}
-	if s.tNow < t {
-		if err := s.AdvanceTo(t); err != nil {
-			return finished, err
-		}
-	}
-	return finished, nil
 }
 
 // Run simulates the workload (one benchmark name per core) under the given
@@ -678,13 +602,19 @@ func (c *coreState) refreshRates(db *simdb.DB) {
 }
 
 // setRates installs an interval's performance point as the core's current
-// rates. A degenerate zero-duration point sustains no power draw: watts is
-// zeroed rather than left at the previous setting's value, which would
-// charge reconfiguration-stall energy at a stale rate.
+// rates.
 func (c *coreState) setRates(pt *simdb.PerfPoint) {
 	c.tpi = pt.TPI()
 	c.epi = pt.EPI()
-	c.watts = pt.StallWatts()
+}
+
+// stallWatts is the power the core draws while it stalls on a
+// reconfiguration, at its current interval and setting. It is derived at
+// the stall rather than cached with the rates: every change of slice or
+// setting refreshes the rates before the next stall drains, so it reads
+// the point setRates last installed.
+func (c *coreState) stallWatts(db *simdb.DB) float64 {
+	return db.PerfAt(c.id, c.phases[c.slice], c.setIdx).StallWatts()
 }
 
 // applySettings installs new settings on all occupied cores, charging

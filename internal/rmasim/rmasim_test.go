@@ -222,10 +222,11 @@ func TestInvocationCountMatchesIntervals(t *testing.T) {
 	}
 	minIntervals := 0
 	for _, b := range mixedWorkload {
-		tr, err := db.PhaseTrace(b)
-		if err != nil {
-			t.Fatal(err)
+		id, ok := db.BenchIDOf(b)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", b)
 		}
+		tr := db.PhaseTraceAt(id)
 		if len(tr) > minIntervals {
 			minIntervals = len(tr)
 		}
@@ -241,7 +242,7 @@ func TestBaselineRoundAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := db.PhaseTrace("mcf")
+	tr := db.Analysis("mcf").PhaseTrace
 	pt, _ := db.Perf("mcf", tr[0], db.Sys.BaselineSetting())
 	if secs < pt.Seconds || joules < pt.EPI()*trace.SliceInstructions {
 		t.Fatal("baseline round smaller than its first interval")

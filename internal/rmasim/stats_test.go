@@ -16,7 +16,7 @@ func TestFillStatsKey(t *testing.T) {
 	seen := map[uint64]string{}
 	setIdxs := []int{0, db.BaselineIdx(), db.Lattice.Len() - 1}
 	for id := simdb.BenchID(0); int(id) < db.NumBenches(); id++ {
-		for phase := range db.NumPhases(db.BenchName(id)) {
+		for phase := range db.Benches[id].Analysis.NumPhases {
 			for _, setIdx := range setIdxs {
 				for _, oracle := range []bool{false, true} {
 					var a, b core.IntervalStats

@@ -103,7 +103,7 @@ func runReference(db *simdb.DB, workload []string, mgr *core.Manager, opt Option
 			if horizon[i] == next {
 				if c.stall > 0 {
 					if c.firstRound {
-						c.energy += c.watts * c.stall
+						c.energy += c.stallWatts(db) * c.stall
 					}
 					c.stall = 0
 				}
@@ -123,7 +123,7 @@ func runReference(db *simdb.DB, workload []string, mgr *core.Manager, opt Option
 				c.stall -= burn
 				dt -= burn
 				if c.firstRound {
-					c.energy += c.watts * burn
+					c.energy += c.stallWatts(db) * burn
 				}
 			}
 			if dt <= 0 {
@@ -311,20 +311,20 @@ func TestExactInstructionAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	expected := float64(sim.CompletedIntervals()) * trace.SliceInstructions
+	expected := float64(sim.completedIntervals) * trace.SliceInstructions
 	for _, c := range sim.cores {
 		expected += trace.SliceInstructions - c.rem // in-flight partial interval
 	}
-	if sim.CompletedIntervals() < 100 {
-		t.Fatalf("scenario too small to be meaningful: %d intervals", sim.CompletedIntervals())
+	if sim.completedIntervals < 100 {
+		t.Fatalf("scenario too small to be meaningful: %d intervals", sim.completedIntervals)
 	}
 	// The two totals are computed by different summations (incremental
 	// retirement vs completed-interval count), so they agree only up to
 	// accumulator rounding — ~1e-14 relative at the 1e11-instruction scale
 	// of this run, far below any real instruction drop.
-	if diff := math.Abs(sim.Retired() - expected); diff > 1e-12*expected {
+	if diff := math.Abs(sim.retired - expected); diff > 1e-12*expected {
 		t.Fatalf("retired %.6f instructions, want %.6f (diff %g): completion drops instructions",
-			sim.Retired(), expected, diff)
+			sim.retired, expected, diff)
 	}
 }
 
@@ -369,18 +369,16 @@ func TestIntervalAuditAdditive(t *testing.T) {
 	}
 }
 
-// TestSetRatesZeroDuration pins the satellite fix for stale stall power: a
-// degenerate zero-duration performance point must zero the stall wattage
-// rather than keep charging the previous setting's rate.
+// TestSetRatesZeroDuration pins the rule against stale stall power: a
+// stall is charged at the power of the point the core runs at, and a
+// degenerate zero-duration point draws none, rather than the previous
+// setting's rate.
 func TestSetRatesZeroDuration(t *testing.T) {
-	c := &coreState{watts: 42}
-	c.setRates(&simdb.PerfPoint{Seconds: 0, Energy: simdb.PointEnergy{J: 1, StallJ: 6}})
-	if c.watts != 0 {
-		t.Fatalf("watts = %v after zero-duration point, want 0", c.watts)
+	if w := (&simdb.PerfPoint{Seconds: 0, Energy: simdb.PointEnergy{J: 1, StallJ: 6}}).StallWatts(); w != 0 {
+		t.Fatalf("stall watts = %v at a zero-duration point, want 0", w)
 	}
-	c.setRates(&simdb.PerfPoint{Seconds: 2, Energy: simdb.PointEnergy{J: 10, StallJ: 6}})
-	if c.watts != 3 {
-		t.Fatalf("watts = %v, want 3", c.watts)
+	if w := (&simdb.PerfPoint{Seconds: 2, Energy: simdb.PointEnergy{J: 10, StallJ: 6}}).StallWatts(); w != 3 {
+		t.Fatalf("stall watts = %v, want 3", w)
 	}
 }
 
@@ -446,9 +444,8 @@ func TestArriveDepartLifecycle(t *testing.T) {
 	if err := sim.Arrive(0, "it-frugal"); err != nil {
 		t.Fatal(err)
 	}
-	snap := sim.Snapshot()
-	if !snap.Cores[0].Occupied || snap.Cores[0].Bench != "it-frugal" || snap.Cores[0].StartSec != sim.Now() {
-		t.Fatalf("bad snapshot after re-arrival: %+v", snap.Cores[0])
+	if c := sim.cores[0]; c == nil || c.bench != "it-frugal" || c.start != sim.Now() {
+		t.Fatalf("bad core state after re-arrival: %+v", c)
 	}
 }
 
@@ -466,7 +463,12 @@ func TestStaggeredArrivalsDeterministic(t *testing.T) {
 		// Let the first app run for a while, then inject the second at an
 		// arbitrary instant between interval completions.
 		mid := sim.NextEventTime() * 7.5
-		if _, err := sim.RunUntil(mid); err != nil {
+		for sim.NextEventTime() <= mid {
+			if _, err := sim.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sim.AdvanceTo(mid); err != nil {
 			t.Fatal(err)
 		}
 		if err := sim.Arrive(1, "it-frugal"); err != nil {

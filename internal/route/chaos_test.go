@@ -109,7 +109,7 @@ func chaosQueries(t *testing.T, db *simdb.DB, seed uint64, count, batch int) ([]
 			apps := make([]service.AppQuery, n)
 			for c := 0; c < n; c++ {
 				name := names[rng.Intn(len(names))]
-				phase := rng.Intn(db.NumPhases(name))
+				phase := rng.Intn(db.Analysis(name).NumPhases)
 				apps[c] = service.AppQuery{Bench: name, Phase: phase}
 				id, ok := db.BenchIDOf(name)
 				if !ok {

@@ -149,7 +149,7 @@ func FuzzRoutingHash(f *testing.F) {
 	f.Add("İß", 1, 0.5, 1e-300, uint8(200), uint8(0x8a), []byte{15, 3, 14, 250, 9, 7, 0xc3, 0x80})
 	f.Add("ucp", -1, 0.1, 0.1, uint8(5), uint8(0x59), []byte{0xc8, 4, 0x06, 4, 0x47, 0x81})
 	f.Add("dvfs", 0, 0.0, 0.0, uint8(0), uint8(0), []byte{})
-	p := NewProxy(mustRing(f, testGroups(3, 1)), nil)
+	p := NewProxyWithOptions(mustRing(f, testGroups(3, 1)), nil, Options{})
 	meta, names := testWireMeta(f)
 	f.Fuzz(func(t *testing.T, scheme string, model int, slack, slack2 float64, wireScheme, flags uint8, apps []byte) {
 		n := 1 + int(flags>>4)%4
@@ -245,7 +245,7 @@ func mustRing(t testing.TB, groups []Backend) *Ring {
 // warm wire proxy places a 64-query batch (Meta published, every group
 // up) without allocating, and so does streaming one app into a hash.
 func TestRoutingHashAllocs(t *testing.T) {
-	p := NewProxy(mustRing(t, testGroups(2, 1)), nil)
+	p := NewProxyWithOptions(mustRing(t, testGroups(2, 1)), nil, Options{})
 	wp := &WireProxy{p: p}
 	meta, _ := testWireMeta(t)
 	wp.meta.Store(meta)

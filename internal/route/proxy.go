@@ -71,7 +71,7 @@ type replica struct {
 }
 
 // Options tunes the proxy's resilience behaviour. The zero value selects
-// the defaults noted per field; NewProxy uses it.
+// the defaults noted per field.
 type Options struct {
 	// AttemptTimeout bounds one forward attempt (default 2s; negative
 	// disables the per-attempt deadline — the client's own context still
@@ -113,13 +113,6 @@ func (o Options) retries() int {
 		return 0
 	}
 	return o.Retries
-}
-
-// NewProxy builds a proxy with default resilience options (retries on,
-// probing off). client nil selects a transport sized for
-// backend connection reuse.
-func NewProxy(ring *Ring, client *http.Client) *Proxy {
-	return NewProxyWithOptions(ring, client, Options{})
 }
 
 // NewProxyWithOptions builds a proxy over the ring. Call Close when done
@@ -169,13 +162,11 @@ func (p *Proxy) Close() {
 	}
 }
 
-// Registry exposes the routing tier's metrics registry (served on
-// /metrics).
-func (p *Proxy) Registry() *ops.Registry { return p.reg }
-
 // ProbeNow forces one synchronous probe round (no-op with probing off).
 // Tests and operators use it to observe ejection without waiting an
 // interval.
+//
+//qosrma:allow(testonly) the resilience and chaos tests observe ejection without waiting an interval
 func (p *Proxy) ProbeNow() {
 	if p.prober != nil {
 		p.prober.RunNow()
@@ -332,6 +323,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // proxy has no database to intern against — and the only property the
 // tier needs: equal queries land on equal groups, so each backend's
 // decision LRU sees a stable partition of the key space.
+//
+//qosrma:allow(testonly) perfbench calls it
 func RoutingKey(dst []byte, q *service.DecideQuery) []byte {
 	dst = appendKeyPrefix(dst, q.Scheme, q.Model, q.Slack, q.Slacks)
 	for _, app := range q.Apps {

@@ -125,7 +125,7 @@ func TestProxyRetriesTruncatedBody(t *testing.T) {
 	ring, _ := New([]Backend{
 		{Name: "g0", Addrs: []string{backendAddr(trunc), backendAddr(live)}},
 	}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	proxy := httptest.NewServer(p)
 	t.Cleanup(proxy.Close)
@@ -194,7 +194,7 @@ func tierCodecs(t *testing.T, p *Proxy) (string, []tierCodec) {
 		}},
 		{name: "wire", prefix: "qosrmad_route_wire_", decide: func(t *testing.T) (int, string) {
 			t.Helper()
-			c, err := net.Dial("tcp", wp.Addr())
+			c, err := net.Dial("tcp", wp.ln.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -443,7 +443,7 @@ func postDecideWithin(t *testing.T, url string, timeout time.Duration) int {
 func TestClientGiveUpSparesReplica(t *testing.T) {
 	slow := slowBackend(t, 200*time.Millisecond)
 	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{backendAddr(slow)}}}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	var served atomic.Int32
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -624,7 +624,7 @@ func TestProxyMetricsLocal(t *testing.T) {
 	var seen sync.Map
 	b0 := fakeBackend(t, "b0", &seen)
 	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{backendAddr(b0)}}}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	proxy := httptest.NewServer(p)
 	t.Cleanup(proxy.Close)
@@ -774,7 +774,7 @@ func TestWireProxySplitsAndMerges(t *testing.T) {
 		{Name: "g0", Addrs: []string{"10.255.0.1:1"}, WireAddrs: []string{w0}},
 		{Name: "g1", Addrs: []string{"10.255.0.2:1"}, WireAddrs: []string{w1}},
 	}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -782,7 +782,7 @@ func TestWireProxySplitsAndMerges(t *testing.T) {
 	}
 	wp := p.ServeWire(ln)
 
-	c, err := net.Dial("tcp", wp.Addr())
+	c, err := net.Dial("tcp", wp.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +830,7 @@ func TestWireProxySplitsAndMerges(t *testing.T) {
 	if len(owners) < 2 {
 		t.Fatalf("all wire queries landed on %v — the split path was never exercised", owners)
 	}
-	requests, splits, failures := wp.Stats()
+	requests, splits, failures := wp.requests.Value(), wp.splits.Value(), wp.exhausted.Value()
 	if requests == 0 || splits == 0 {
 		t.Fatalf("wire counters requests=%d splits=%d", requests, splits)
 	}
@@ -849,7 +849,7 @@ func TestWireProxyFailover(t *testing.T) {
 		{Name: "g0", Addrs: []string{"10.255.0.1:1", "10.255.0.2:1", "10.255.0.3:1"},
 			WireAddrs: []string{"127.0.0.1:1", draining, live}},
 	}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -857,7 +857,7 @@ func TestWireProxyFailover(t *testing.T) {
 	}
 	wp := p.ServeWire(ln)
 
-	c, err := net.Dial("tcp", wp.Addr())
+	c, err := net.Dial("tcp", wp.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -965,7 +965,7 @@ func TestWireMetaSweepRemembered(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp := p.ServeWire(ln)
-	c, err := net.Dial("tcp", wp.Addr())
+	c, err := net.Dial("tcp", wp.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1025,7 +1025,7 @@ func TestWireForwardAllocs(t *testing.T) {
 		{Name: "g0", Addrs: []string{"10.255.0.1:1"}, WireAddrs: []string{fakeWireBackend(t, 10, false)}},
 		{Name: "g1", Addrs: []string{"10.255.0.2:1"}, WireAddrs: []string{fakeWireBackend(t, 20, false)}},
 	}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1048,14 +1048,14 @@ func TestWireForwardAllocs(t *testing.T) {
 			}
 			m := mergeState{groups: make([][]int, len(p.groups))}
 			var out []byte
-			_, splits0, _ := wp.Stats()
+			splits0 := wp.splits.Value()
 			for i := 0; i < 3; i++ { // warm: Meta, pooled connections, scratch
 				out = wp.handleDecide(out[:0], payload, &req, &m)
 			}
 			if typ, _, err := wire.NewReader(bytes.NewReader(out)).Next(); err != nil || typ != wire.TypeDecideResponse {
 				t.Fatalf("warm forward answered frame type %#x (%v)", typ, err)
 			}
-			if _, splits, _ := wp.Stats(); (splits > splits0) != tc.split {
+			if splits := wp.splits.Value(); (splits > splits0) != tc.split {
 				t.Fatalf("split = %v, want %v", splits > splits0, tc.split)
 			}
 			if got := testing.AllocsPerRun(100, func() { out = wp.handleDecide(out[:0], payload, &req, &m) }); got != 0 {
@@ -1072,7 +1072,7 @@ func TestWireForwardAllocs(t *testing.T) {
 // names too).
 func TestTierMetricCatalog(t *testing.T) {
 	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{"10.255.0.1:1"}, WireAddrs: []string{"10.255.0.1:2"}}}, 0)
-	p := NewProxy(ring, nil)
+	p := NewProxyWithOptions(ring, nil, Options{})
 	defer p.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1080,7 +1080,7 @@ func TestTierMetricCatalog(t *testing.T) {
 	}
 	p.ServeWire(ln)
 	var page bytes.Buffer
-	p.Registry().WritePrometheus(&page)
+	p.reg.WritePrometheus(&page)
 	exposed := map[string]bool{}
 	for _, line := range strings.Split(page.String(), "\n") {
 		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "qosrmad_route_") {

@@ -95,6 +95,8 @@ func (r *Ring) Backends() []Backend { return r.backends }
 
 // Pick returns the index of the group owning key (the first virtual node
 // clockwise of the key's hash).
+//
+//qosrma:allow(testonly) perfbench calls it
 func (r *Ring) Pick(key []byte) int { return r.PickHash(Hash(key)) }
 
 // PickHash is Pick for a pre-computed key hash.

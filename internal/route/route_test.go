@@ -223,7 +223,7 @@ func TestProxySplitsAndMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := httptest.NewServer(NewProxy(ring, nil))
+	proxy := httptest.NewServer(NewProxyWithOptions(ring, nil, Options{}))
 	t.Cleanup(proxy.Close)
 
 	queries := proxyQueries(64)
@@ -286,7 +286,7 @@ func TestProxySingleKeyForwardsVerbatim(t *testing.T) {
 		{Name: "g0", Addrs: []string{backendAddr(b0)}},
 		{Name: "g1", Addrs: []string{backendAddr(b1)}},
 	}, 0)
-	proxy := httptest.NewServer(NewProxy(ring, nil))
+	proxy := httptest.NewServer(NewProxyWithOptions(ring, nil, Options{}))
 	t.Cleanup(proxy.Close)
 
 	q := proxyQueries(1)[0]
@@ -316,7 +316,7 @@ func TestProxyFailover(t *testing.T) {
 	ring, _ := New([]Backend{
 		{Name: "g0", Addrs: []string{"127.0.0.1:1", backendAddr(live)}},
 	}, 0)
-	proxy := httptest.NewServer(NewProxy(ring, nil))
+	proxy := httptest.NewServer(NewProxyWithOptions(ring, nil, Options{}))
 	t.Cleanup(proxy.Close)
 
 	for i := 0; i < 4; i++ {
@@ -339,7 +339,7 @@ func TestProxyForwardsOtherEndpoints(t *testing.T) {
 	var seen sync.Map
 	b0 := fakeBackend(t, "b0", &seen)
 	ring, _ := New([]Backend{{Name: "g0", Addrs: []string{backendAddr(b0)}}}, 0)
-	proxy := httptest.NewServer(NewProxy(ring, nil))
+	proxy := httptest.NewServer(NewProxyWithOptions(ring, nil, Options{}))
 	t.Cleanup(proxy.Close)
 
 	resp, err := http.Get(proxy.URL + "/v1/meta")

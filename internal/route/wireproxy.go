@@ -151,15 +151,6 @@ func (p *Proxy) ServeWire(ln net.Listener) *WireProxy {
 	return wp
 }
 
-// Addr is the wire listener's address.
-func (wp *WireProxy) Addr() string { return wp.ln.Addr().String() }
-
-// Stats reports wire decide requests handled, splits and exhausted
-// forwards.
-func (wp *WireProxy) Stats() (requests, splits, failures uint64) {
-	return wp.requests.Value(), wp.splits.Value(), wp.exhausted.Value()
-}
-
 // Close stops accepting, ends backoff in flight, closes client
 // connections and the pools.
 func (wp *WireProxy) Close() {

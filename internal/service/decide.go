@@ -448,6 +448,8 @@ func FillOracleStats(db *simdb.DB, id simdb.BenchID, phase, coreID int, st *core
 
 // OracleStats is FillOracleStats returning a fresh struct (the reference
 // the service's equivalence tests drive the library path with).
+//
+//qosrma:allow(testonly) perfbench calls it
 func OracleStats(db *simdb.DB, id simdb.BenchID, phase, coreID int) *core.IntervalStats {
 	st := new(core.IntervalStats)
 	FillOracleStats(db, id, phase, coreID, st)

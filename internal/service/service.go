@@ -302,9 +302,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether the server is refusing new work.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // writeJSON renders a JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

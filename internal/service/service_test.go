@@ -103,7 +103,7 @@ func queryFor(db *simdb.DB, rng *stats.RNG, scheme string, slack float64) Decide
 	apps := make([]AppQuery, db.Sys.NumCores)
 	for c := range apps {
 		name := names[rng.Intn(len(names))]
-		apps[c] = AppQuery{Bench: name, Phase: rng.Intn(db.NumPhases(name))}
+		apps[c] = AppQuery{Bench: name, Phase: rng.Intn(db.Analysis(name).NumPhases)}
 	}
 	return DecideQuery{Scheme: scheme, Slack: slack, Apps: apps}
 }

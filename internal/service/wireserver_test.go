@@ -97,7 +97,7 @@ func wireTrace(t testing.TB, srv *Server, seed uint64, count int) ([]DecideReque
 			aq := make([]AppQuery, n)
 			for c := 0; c < n; c++ {
 				name := names[rng.Intn(len(names))]
-				phase := rng.Intn(db.NumPhases(name))
+				phase := rng.Intn(db.Analysis(name).NumPhases)
 				aq[c] = AppQuery{Bench: name, Phase: phase}
 				id, ok := db.BenchIDOf(name)
 				if !ok {
@@ -159,8 +159,8 @@ func TestWireHelloMeta(t *testing.T) {
 		if !ok || uint16(id) != b.ID {
 			t.Fatalf("bench %q: meta id %d, database id %d (ok=%v)", b.Name, b.ID, id, ok)
 		}
-		if int(b.Phases) != db.NumPhases(b.Name) {
-			t.Fatalf("bench %q: meta phases %d, database %d", b.Name, b.Phases, db.NumPhases(b.Name))
+		if int(b.Phases) != db.Analysis(b.Name).NumPhases {
+			t.Fatalf("bench %q: meta phases %d, database %d", b.Name, b.Phases, db.Analysis(b.Name).NumPhases)
 		}
 	}
 }

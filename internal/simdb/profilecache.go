@@ -1,11 +1,11 @@
 package simdb
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"qosrma/internal/arch"
 	"qosrma/internal/cache"
+	"qosrma/internal/flight"
 	"qosrma/internal/simpoint"
 	"qosrma/internal/trace"
 )
@@ -58,81 +58,43 @@ type phaseProfile struct {
 	leading          [][]int // [coreSize][w] leading misses
 }
 
-// profileEntry is one single-flight cache slot. done is closed when prof
-// is ready; waiters that need a deeper associativity than the entry holds
-// replace it and recompute.
-type profileEntry struct {
-	done  chan struct{}
-	assoc int
-	prof  *phaseProfile
-}
-
+// profileCache holds each key's profile at the deepest associativity
+// requested so far: a caller that needs a deeper one recomputes it and
+// replaces the shallower entry.
 type profileCache struct {
-	mu      sync.Mutex
-	entries map[profileKey]*profileEntry
-
+	flights  flight.Group[profileKey, *phaseProfile]
 	hits     atomic.Uint64
 	computes atomic.Uint64
 }
 
-var profCache = &profileCache{entries: make(map[profileKey]*profileEntry)}
-
-// ProfileCacheStats reports the process-wide phase-profile cache counters:
-// hits served from a finished (or in-flight) profile, and computes — full
-// fused profiling passes actually executed.
-func ProfileCacheStats() (hits, computes uint64) {
-	return profCache.hits.Load(), profCache.computes.Load()
-}
+var profCache = &profileCache{}
 
 // ResetProfileCache drops every cached phase profile and SimPoint
 // analysis and zeroes the counters. Intended for tests and benchmarks
 // that need a cold build.
+//
+//qosrma:allow(testonly) the root build benchmarks need a cold cache
 func ResetProfileCache() {
-	profCache.mu.Lock()
-	profCache.entries = make(map[profileKey]*profileEntry)
-	profCache.mu.Unlock()
+	profCache.flights.Forget()
 	profCache.hits.Store(0)
 	profCache.computes.Store(0)
-	analysisCache.Clear()
+	analysisCache.Forget()
 }
 
 // get returns the profile for key at an associativity of at least assoc,
 // computing it at most once per (key, sufficient depth) across all
 // concurrent callers.
 func (pc *profileCache) get(key profileKey, assoc int) *phaseProfile {
-	for {
-		pc.mu.Lock()
-		e := pc.entries[key]
-		if e == nil {
-			e = &profileEntry{done: make(chan struct{}), assoc: assoc}
-			pc.entries[key] = e
-			pc.mu.Unlock()
-			pc.computes.Add(1)
-			e.prof = computePhaseProfile(key, assoc)
-			close(e.done)
-			return e.prof
-		}
-		pc.mu.Unlock()
-		<-e.done
-		if e.assoc >= assoc {
-			pc.hits.Add(1)
-			return e.prof
-		}
-		// The cached profile is too shallow (an earlier build used a
-		// smaller LLC): replace it with a deeper one, unless another
-		// caller already has.
-		pc.mu.Lock()
-		if pc.entries[key] == e {
-			ne := &profileEntry{done: make(chan struct{}), assoc: assoc}
-			pc.entries[key] = ne
-			pc.mu.Unlock()
-			pc.computes.Add(1)
-			ne.prof = computePhaseProfile(key, assoc)
-			close(ne.done)
-			return ne.prof
-		}
-		pc.mu.Unlock()
+	deep := func(p *phaseProfile) bool { return p.assoc >= assoc }
+	prof, hit, _ := pc.flights.Do(key, deep, func() (*phaseProfile, error) {
+		return computePhaseProfile(key, assoc), nil
+	})
+	if hit {
+		pc.hits.Add(1)
+	} else {
+		pc.computes.Add(1)
 	}
+	return prof
 }
 
 // computePhaseProfile generates the sample stream and runs the fused

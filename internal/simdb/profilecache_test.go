@@ -314,3 +314,10 @@ func TestProfileCacheUpgradesDepth(t *testing.T) {
 		t.Fatalf("record counts differ: %d vs %d", db8.NumRecords(), db4.NumRecords())
 	}
 }
+
+// ProfileCacheStats reports the process-wide phase-profile cache counters:
+// hits served from a finished (or in-flight) profile, and computes — full
+// fused profiling passes actually executed.
+func ProfileCacheStats() (hits, computes uint64) {
+	return profCache.hits.Load(), profCache.computes.Load()
+}

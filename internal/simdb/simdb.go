@@ -14,7 +14,7 @@
 // on read with the model's own float expressions, bit-identically.
 // Benchmarks are interned: callers resolve a name to a BenchID
 // once and use dense indices thereafter. The string-keyed API (Perf,
-// Record, PhaseTrace) remains as a thin compatibility wrapper, and
+// Record, Analysis) remains as a thin compatibility wrapper, and
 // ReferencePerf retains the on-the-fly model evaluation the tables are
 // compiled from.
 //
@@ -43,6 +43,7 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/cache"
+	"qosrma/internal/flight"
 	"qosrma/internal/power"
 	"qosrma/internal/simpoint"
 	"qosrma/internal/timing"
@@ -52,13 +53,6 @@ import (
 // BenchID is a dense interned benchmark identifier: the index of the
 // benchmark in DB.Benches.
 type BenchID int
-
-// PhaseKey identifies one benchmark phase by name (compatibility type for
-// the string-keyed API).
-type PhaseKey struct {
-	Bench string
-	Phase int
-}
 
 // PhaseRecord holds the detailed-simulation results for one phase's
 // representative slice, scaled to one 100M-instruction interval. These are
@@ -146,6 +140,8 @@ type PointEnergy struct {
 }
 
 // Total returns the interval's total energy in joules.
+//
+//qosrma:allow(testonly) perfbench calls it
 func (e PointEnergy) Total() float64 { return e.J }
 
 // sliceInstr is the instruction count of one interval.
@@ -156,9 +152,6 @@ func (pt PerfPoint) TPI() float64 { return pt.Seconds / sliceInstr }
 
 // EPI returns joules per instruction.
 func (pt PerfPoint) EPI() float64 { return pt.Energy.J / sliceInstr }
-
-// IPS returns instructions per second.
-func (pt PerfPoint) IPS() float64 { return sliceInstr / pt.Seconds }
 
 // StallWatts returns the power drawn while the core stalls on a
 // reconfiguration: leakage plus uncore. A degenerate zero-duration point
@@ -333,12 +326,7 @@ type analysisKey struct {
 	opt   simpoint.Options
 }
 
-type analysisEntry struct {
-	once sync.Once
-	an   *simpoint.Analysis
-}
-
-var analysisCache sync.Map // analysisKey -> *analysisEntry
+var analysisCache flight.Group[analysisKey, *simpoint.Analysis]
 
 // analyzeCached returns the (deterministic) SimPoint analysis of b,
 // computing it at most once per process for each (benchmark, options).
@@ -350,10 +338,10 @@ func analyzeCached(b *trace.Benchmark, opt simpoint.Options) *simpoint.Analysis 
 	if trace.ByName(b.Name) != b {
 		return simpoint.Analyze(b, opt)
 	}
-	e, _ := analysisCache.LoadOrStore(analysisKey{bench: b, opt: opt}, &analysisEntry{})
-	ae := e.(*analysisEntry)
-	ae.once.Do(func() { ae.an = simpoint.Analyze(b, opt) })
-	return ae.an
+	an, _, _ := analysisCache.Do(analysisKey{bench: b, opt: opt}, nil, func() (*simpoint.Analysis, error) {
+		return simpoint.Analyze(b, opt), nil
+	})
+	return an
 }
 
 // reindex rebuilds the name → BenchID intern table and the in-memory-only
@@ -495,6 +483,8 @@ func simulatePhase(sys arch.SystemConfig, b *trace.Benchmark, an *simpoint.Analy
 // producing the miss and leading-miss profiles for the full configuration
 // space. Exported for benchmarks and tools that measure or inspect the
 // build-side kernel directly; Build itself goes through the cache.
+//
+//qosrma:allow(testonly) perfbench calls it
 func SimulatePhase(sys arch.SystemConfig, b *trace.Benchmark, an *simpoint.Analysis, phase int, sp trace.SampleParams) *PhaseRecord {
 	key := profileKeyFor(sys, b, an, phase, sp)
 	return computePhaseProfile(key, sys.LLC.Assoc).record(sys.LLC.Assoc, an, phase)
@@ -562,15 +552,6 @@ func (db *DB) PhaseTraceAt(id BenchID) []int {
 
 // ---- string-keyed compatibility API ----
 
-// bench resolves a name, with the historical error message.
-func (db *DB) bench(name string) (*BenchData, error) {
-	id, ok := db.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("simdb: no record for %s", name)
-	}
-	return db.Benches[id], nil
-}
-
 // Record returns the phase record, or an error naming the missing key.
 func (db *DB) Record(bench string, phase int) (*PhaseRecord, error) {
 	bd, ok := db.byName[bench]
@@ -603,6 +584,8 @@ func (db *DB) Perf(bench string, phase int, s arch.Setting) (PerfPoint, error) {
 // reference implementation the lattice tables are compiled from. The
 // compiled Perf/PerfAt results are bit-identical to it by construction
 // (asserted by TestCompiledPerfMatchesReference).
+//
+//qosrma:allow(testonly) the bit-identity oracle of the compiled tables' tests and BenchmarkSimDBReferenceEval
 func (db *DB) ReferencePerf(bench string, phase int, s arch.Setting) (PerfPoint, error) {
 	rec, err := db.Record(bench, phase)
 	if err != nil {
@@ -652,15 +635,6 @@ func evalPerf(sys *arch.SystemConfig, pw power.Params, rec *PhaseRecord, s arch.
 	}
 }
 
-// PhaseTrace returns the phase sequence of the benchmark's full execution.
-func (db *DB) PhaseTrace(bench string) ([]int, error) {
-	bd, err := db.bench(bench)
-	if err != nil {
-		return nil, fmt.Errorf("simdb: no analysis for %s", bench)
-	}
-	return bd.Analysis.PhaseTrace, nil
-}
-
 // Analysis returns the benchmark's SimPoint analysis, or nil when unknown.
 func (db *DB) Analysis(bench string) *simpoint.Analysis {
 	bd, ok := db.byName[bench]
@@ -668,15 +642,6 @@ func (db *DB) Analysis(bench string) *simpoint.Analysis {
 		return nil
 	}
 	return db.Benches[bd].Analysis
-}
-
-// NumPhases returns the number of phases for the benchmark.
-func (db *DB) NumPhases(bench string) int {
-	bd, ok := db.byName[bench]
-	if !ok {
-		return 0
-	}
-	return db.Benches[bd].Analysis.NumPhases
 }
 
 // NumRecords returns the total number of (benchmark, phase) records.

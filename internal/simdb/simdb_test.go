@@ -40,10 +40,10 @@ func testDB(t *testing.T) *DB {
 }
 
 // forEachRecord visits every (benchmark, phase) record in the database.
-func forEachRecord(db *DB, f func(key PhaseKey, rec *PhaseRecord)) {
+func forEachRecord(db *DB, f func(bench string, phase int, rec *PhaseRecord)) {
 	for _, bd := range db.Benches {
 		for p, rec := range bd.Phases {
-			f(PhaseKey{bd.Name, p}, rec)
+			f(bd.Name, p, rec)
 		}
 	}
 }
@@ -69,16 +69,16 @@ func TestBuildCoversAllPhases(t *testing.T) {
 
 func TestMissProfilesMonotone(t *testing.T) {
 	db := testDB(t)
-	forEachRecord(db, func(key PhaseKey, rec *PhaseRecord) {
+	forEachRecord(db, func(bench string, phase int, rec *PhaseRecord) {
 		for w := 1; w < len(rec.Misses); w++ {
 			if rec.Misses[w] > rec.Misses[w-1]+1e-9 {
-				t.Fatalf("%v: exact misses increase at w=%d", key, w)
+				t.Fatalf("%s phase %d: exact misses increase at w=%d", bench, phase, w)
 			}
 		}
 		for c := range rec.Leading {
 			for w := 1; w < len(rec.Leading[c]); w++ {
 				if rec.Leading[c][w] > rec.Leading[c][w-1]+1e-9 {
-					t.Fatalf("%v: leading misses increase at c=%d w=%d", key, c, w)
+					t.Fatalf("%s phase %d: leading misses increase at c=%d w=%d", bench, phase, c, w)
 				}
 			}
 		}
@@ -87,11 +87,11 @@ func TestMissProfilesMonotone(t *testing.T) {
 
 func TestLeadingBelowTotalMisses(t *testing.T) {
 	db := testDB(t)
-	forEachRecord(db, func(key PhaseKey, rec *PhaseRecord) {
+	forEachRecord(db, func(bench string, phase int, rec *PhaseRecord) {
 		for c := range rec.Leading {
 			for w := range rec.Leading[c] {
 				if rec.Leading[c][w] > rec.Misses[w]+1e-9 {
-					t.Fatalf("%v: leading > total at c=%d w=%d", key, c, w)
+					t.Fatalf("%s phase %d: leading > total at c=%d w=%d", bench, phase, c, w)
 				}
 			}
 		}
@@ -100,13 +100,13 @@ func TestLeadingBelowTotalMisses(t *testing.T) {
 
 func TestLargerCoreNeverMoreLeadingMisses(t *testing.T) {
 	db := testDB(t)
-	forEachRecord(db, func(key PhaseKey, rec *PhaseRecord) {
+	forEachRecord(db, func(bench string, phase int, rec *PhaseRecord) {
 		for w := range rec.Misses {
 			small := rec.Leading[arch.SizeSmall][w]
 			large := rec.Leading[arch.SizeLarge][w]
 			if large > small+1e-9 {
-				t.Fatalf("%v w=%d: large core has more leading misses (%v > %v)",
-					key, w, large, small)
+				t.Fatalf("%s phase %d w=%d: large core has more leading misses (%v > %v)",
+					bench, phase, w, large, small)
 			}
 		}
 	})
@@ -189,17 +189,14 @@ func TestPerfUnknownBench(t *testing.T) {
 	if _, err := db.Perf("nosuch", 0, db.Sys.BaselineSetting()); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
-	if _, err := db.PhaseTrace("nosuch"); err == nil {
-		t.Fatal("expected error for unknown trace")
-	}
-	if db.NumPhases("nosuch") != 0 {
-		t.Fatal("NumPhases for unknown should be 0")
+	if db.Analysis("nosuch") != nil {
+		t.Fatal("expected no analysis for unknown benchmark")
 	}
 }
 
 func TestSampledProfilesApproximateExact(t *testing.T) {
 	db := testDB(t)
-	forEachRecord(db, func(key PhaseKey, rec *PhaseRecord) {
+	forEachRecord(db, func(bench string, phase int, rec *PhaseRecord) {
 		// Compare at the baseline allocation; sampling noise must be
 		// bounded for the heavy-traffic phases that matter.
 		w := db.Sys.BaselineWays()
@@ -208,7 +205,7 @@ func TestSampledProfilesApproximateExact(t *testing.T) {
 		}
 		rel := math.Abs(rec.SampledMisses[w]-rec.Misses[w]) / rec.Misses[w]
 		if rel > 0.25 {
-			t.Errorf("%v: sampled profile off by %.1f%%", key, rel*100)
+			t.Errorf("%s phase %d: sampled profile off by %.1f%%", bench, phase, rel*100)
 		}
 	})
 }
@@ -418,14 +415,14 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 	}
-	forEachRecord(db1, func(key PhaseKey, r1 *PhaseRecord) {
-		r8, err := db8.Record(key.Bench, key.Phase)
+	forEachRecord(db1, func(bench string, phase int, r1 *PhaseRecord) {
+		r8, err := db8.Record(bench, phase)
 		if err != nil {
-			t.Fatalf("missing %v in 8-worker build", key)
+			t.Fatalf("missing %s phase %d in 8-worker build", bench, phase)
 		}
 		for w := range r1.Misses {
 			if r1.Misses[w] != r8.Misses[w] {
-				t.Fatalf("%v: miss profile differs at w=%d", key, w)
+				t.Fatalf("%s phase %d: miss profile differs at w=%d", bench, phase, w)
 			}
 		}
 	})
@@ -457,11 +454,15 @@ func TestPhaseTraceMatchesSimpoint(t *testing.T) {
 	db := testDB(t)
 	b := trace.ByName("gcc")
 	an := simpoint.Analyze(b, DefaultBuildOptions().SimPoint)
-	tr, err := db.PhaseTrace("gcc")
-	if err != nil {
-		t.Fatal(err)
+	id, ok := db.BenchIDOf("gcc")
+	if !ok {
+		t.Fatal("gcc missing from the database")
 	}
+	tr := db.PhaseTraceAt(id)
 	if len(tr) != len(an.PhaseTrace) {
 		t.Fatalf("trace length %d != %d", len(tr), len(an.PhaseTrace))
 	}
 }
+
+// IPS returns instructions per second.
+func (pt PerfPoint) IPS() float64 { return sliceInstr / pt.Seconds }

@@ -277,3 +277,38 @@ func TestHamerlyMatchesLloydOnFixtures(t *testing.T) {
 		assertSameClustering(t, "random", points, cents, 40)
 	}
 }
+
+// PhaseOfSlice returns the phase id for slice i.
+func (a *Analysis) PhaseOfSlice(i int) int { return a.PhaseTrace[i] }
+
+// Purity measures how well the recovered phases match the generative
+// ground-truth behaviours (fraction of slices whose cluster's majority
+// behaviour equals their own behaviour). Used by tests; the algorithms
+// under study never see ground truth.
+func (a *Analysis) Purity() float64 {
+	// majority behaviour per cluster
+	counts := make([]map[int]int, a.NumPhases)
+	for i := range counts {
+		counts[i] = make(map[int]int)
+	}
+	for i, p := range a.PhaseTrace {
+		counts[p][a.Bench.SliceBehavior[i]]++
+	}
+	majority := make([]int, a.NumPhases)
+	for p, m := range counts {
+		best, bestN := -1, -1
+		for b, n := range m {
+			if n > bestN {
+				best, bestN = b, n
+			}
+		}
+		majority[p] = best
+	}
+	correct := 0
+	for i, p := range a.PhaseTrace {
+		if a.Bench.SliceBehavior[i] == majority[p] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(a.PhaseTrace))
+}

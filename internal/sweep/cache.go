@@ -1,9 +1,9 @@
 package sweep
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"qosrma/internal/flight"
 	"qosrma/internal/rmasim"
 )
 
@@ -12,40 +12,21 @@ import (
 // uniform shard selector.
 const cacheShards = 16
 
-// entry is one memoized point. The leader goroutine that created the
-// entry computes the result, stores it and closes ready; followers block
-// on ready and read the outcome. Failed entries are removed so a later
-// identical request retries instead of replaying the error forever.
-type entry struct {
-	ready chan struct{}
-	res   *rmasim.Result
-	err   error
-}
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*entry
-}
-
 // Cache memoizes simulation results by RunSpec content hash. It is safe
 // for concurrent use and deduplicates in-flight work: concurrent requests
 // for the same key run the simulation exactly once (single-flight), which
 // is what guarantees a sweep never issues duplicate rmasim.Run calls even
-// when overlapping points land in the same batch.
+// when overlapping points land in the same batch. Failed points are not
+// memoized, so a later identical request retries instead of replaying the
+// error forever.
 type Cache struct {
-	shards [cacheShards]cacheShard
+	shards [cacheShards]flight.Group[string, *rmasim.Result]
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*entry)
-	}
-	return c
-}
+func NewCache() *Cache { return &Cache{} }
 
 // Stats reports cumulative lookups: hits count requests served from a
 // completed or in-flight entry, misses count requests that had to run the
@@ -54,19 +35,7 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len returns the number of completed-or-in-flight entries.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-func (c *Cache) shard(key string) *cacheShard {
+func (c *Cache) shard(key string) *flight.Group[string, *rmasim.Result] {
 	if key == "" {
 		return &c.shards[0]
 	}
@@ -76,25 +45,11 @@ func (c *Cache) shard(key string) *cacheShard {
 // do returns the memoized result for key, running exec at most once per
 // key across all concurrent callers.
 func (c *Cache) do(key string, exec func() (*rmasim.Result, error)) (*rmasim.Result, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok {
-		s.mu.Unlock()
+	res, hit, err := c.shard(key).Do(key, nil, exec)
+	if hit {
 		c.hits.Add(1)
-		<-e.ready
-		return e.res, e.err
+	} else {
+		c.misses.Add(1)
 	}
-	e := &entry{ready: make(chan struct{})}
-	s.m[key] = e
-	s.mu.Unlock()
-	c.misses.Add(1)
-
-	e.res, e.err = exec()
-	if e.err != nil {
-		s.mu.Lock()
-		delete(s.m, key)
-		s.mu.Unlock()
-	}
-	close(e.ready)
-	return e.res, e.err
+	return res, err
 }

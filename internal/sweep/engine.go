@@ -22,45 +22,13 @@ type Engine struct {
 	emitter Emitter
 }
 
-// EngineOption customizes an engine.
-type EngineOption func(*Engine)
-
-// WithWorkers bounds the worker pool (default: GOMAXPROCS).
-func WithWorkers(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.workers = n
-		}
-	}
-}
-
-// WithExec overrides the point executor (tests use this to count or stub
-// the underlying simulation).
-func WithExec(f func(RunSpec) (*rmasim.Result, error)) EngineOption {
-	return func(e *Engine) {
-		if f != nil {
-			e.exec = f
-		}
-	}
-}
-
-// WithEmitter streams every completed sweep's rows, in deterministic
-// point order, to the emitter as points finish.
-func WithEmitter(em Emitter) EngineOption {
-	return func(e *Engine) { e.emitter = em }
-}
-
 // NewEngine builds an engine with a fresh cache.
-func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{
+func NewEngine() *Engine {
+	return &Engine{
 		cache:   NewCache(),
 		workers: runtime.GOMAXPROCS(0),
 		exec:    Execute,
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // Cache exposes the engine's cache (for stats reporting).
@@ -90,15 +58,6 @@ func (r *Result) Select(pred func(RunSpec) bool) []*rmasim.Result {
 		if pred(p) {
 			out = append(out, r.Results[i])
 		}
-	}
-	return out
-}
-
-// Savings returns the per-point energy savings, index-aligned with Points.
-func (r *Result) Savings() []float64 {
-	out := make([]float64, len(r.Results))
-	for i, res := range r.Results {
-		out[i] = res.EnergySavings
 	}
 	return out
 }

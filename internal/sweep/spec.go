@@ -130,23 +130,3 @@ func (s *Spec) Compile() ([]RunSpec, error) {
 	}
 	return specs, nil
 }
-
-// Size returns the number of runs the spec compiles to, without
-// validating it.
-func (s *Spec) Size() int {
-	n := len(s.Mixes) * len(s.Schemes) * len(s.Models)
-	n *= max1(len(s.Slacks) + len(s.SlackVectors))
-	n *= max1(len(s.Oracle))
-	n *= max1(len(s.BaselineFreqIdxs))
-	n *= max1(len(s.SwitchScales))
-	n *= max1(len(s.BandwidthGBps))
-	n *= max1(len(s.Feedback))
-	return n + len(s.Points)
-}
-
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}

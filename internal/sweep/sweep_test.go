@@ -52,9 +52,6 @@ func TestCompileOrderAndDefaults(t *testing.T) {
 	if len(points) != 8 {
 		t.Fatalf("compiled %d points, want 8", len(points))
 	}
-	if spec.Size() != 8 {
-		t.Fatalf("Size() = %d, want 8", spec.Size())
-	}
 	// Mixes outermost, then schemes, then slack levels innermost.
 	want := []struct {
 		mix    string
@@ -173,7 +170,7 @@ func TestEngineMatchesSerialExecution(t *testing.T) {
 	}
 	calls.Store(0)
 
-	eng := NewEngine(WithExec(exec), WithWorkers(7))
+	eng := testEngine(exec, 7)
 	res, err := eng.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +192,7 @@ func TestEngineMatchesSerialExecution(t *testing.T) {
 func TestEngineCacheHitsAcrossSweeps(t *testing.T) {
 	db := testDB(4)
 	var calls atomic.Int64
-	eng := NewEngine(WithExec(stubExec(&calls)))
+	eng := testEngine(stubExec(&calls), 0)
 	spec := Spec{
 		Name:    "cached",
 		DB:      db,
@@ -242,7 +239,7 @@ func TestEngineCacheHitsAcrossSweeps(t *testing.T) {
 func TestEngineDeduplicatesWithinBatch(t *testing.T) {
 	db := testDB(4)
 	var calls atomic.Int64
-	eng := NewEngine(WithExec(stubExec(&calls)), WithWorkers(8))
+	eng := testEngine(stubExec(&calls), 8)
 	p := RunSpec{DB: db, Mix: mix("m", "mcf"), Scheme: core.SchemeCoordDVFSCache,
 		Model: core.Model2, BaselineFreqIdx: -1}
 	specs := make([]RunSpec, 32)
@@ -266,12 +263,12 @@ func TestEngineDeduplicatesWithinBatch(t *testing.T) {
 func TestEngineAggregatesAllErrors(t *testing.T) {
 	db := testDB(4)
 	errBoom := errors.New("boom")
-	eng := NewEngine(WithExec(func(spec RunSpec) (*rmasim.Result, error) {
+	eng := testEngine(func(spec RunSpec) (*rmasim.Result, error) {
 		if strings.HasPrefix(spec.Mix.Name, "bad") {
 			return nil, fmt.Errorf("%s: %w", spec.Mix.Name, errBoom)
 		}
 		return &rmasim.Result{}, nil
-	}))
+	}, 0)
 	specs := []RunSpec{
 		{DB: db, Mix: mix("good1", "mcf")},
 		{DB: db, Mix: mix("bad1", "lbm")},
@@ -304,7 +301,8 @@ func TestEngineStreamsRowsInOrder(t *testing.T) {
 		got = append(got, r)
 		return nil
 	})
-	eng := NewEngine(WithExec(stubExec(&calls)), WithEmitter(em), WithWorkers(4))
+	eng := testEngine(stubExec(&calls), 4)
+	eng.SetEmitter(em)
 	spec := Spec{
 		Name:    "stream",
 		DB:      db,
@@ -377,7 +375,7 @@ func TestCSVAndJSONEmitters(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	db := testDB(4)
 	var calls atomic.Int64
-	eng := NewEngine(WithExec(stubExec(&calls)))
+	eng := testEngine(stubExec(&calls), 0)
 	res, err := eng.Run(Spec{
 		Name:    "helpers",
 		DB:      db,
@@ -391,9 +389,6 @@ func TestResultHelpers(t *testing.T) {
 	rm2 := res.Select(func(p RunSpec) bool { return p.Scheme == core.SchemeCoordDVFSCache })
 	if len(rm2) != 2 {
 		t.Fatalf("Select returned %d results, want 2", len(rm2))
-	}
-	if s := res.Savings(); len(s) != 4 || s[1] != res.Results[1].EnergySavings {
-		t.Fatalf("Savings misaligned: %v", s)
 	}
 	rows := res.Rows()
 	if len(rows) != 4 || rows[3].Index != 3 || rows[3].Sweep != "helpers" {
@@ -414,11 +409,11 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		Slacks:  []float64{0, 0.2, 0.4, 0.6},
 	}
 	exec := func(RunSpec) (*rmasim.Result, error) { return &rmasim.Result{}, nil }
-	b.ReportMetric(float64(spec.Size()), "points")
+	b.ReportMetric(float64(len(spec.Mixes)*len(spec.Schemes)*len(spec.Models)*len(spec.Slacks)), "points")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh engine each iteration so every point misses the cache.
-		if _, err := NewEngine(WithExec(exec)).Run(spec); err != nil {
+		if _, err := testEngine(exec, 0).Run(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -436,7 +431,7 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 		Slacks:  []float64{0, 0.2, 0.4, 0.6},
 	}
 	exec := func(RunSpec) (*rmasim.Result, error) { return &rmasim.Result{}, nil }
-	eng := NewEngine(WithExec(exec))
+	eng := testEngine(exec, 0)
 	if _, err := eng.Run(spec); err != nil {
 		b.Fatal(err)
 	}
@@ -446,4 +441,15 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// testEngine is an engine whose points run exec, on workers goroutines
+// when workers is positive.
+func testEngine(exec func(RunSpec) (*rmasim.Result, error), workers int) *Engine {
+	e := NewEngine()
+	e.exec = exec
+	if workers > 0 {
+		e.workers = workers
+	}
+	return e
 }

@@ -74,22 +74,3 @@ func BandwidthLatency(baseNs, demandBps, capBps float64) float64 {
 	}
 	return baseNs * (1 + k*u/(1-u))
 }
-
-// IPS returns instructions per second for the window.
-func IPS(in Inputs) float64 {
-	c := Cycles(in).Total()
-	if c <= 0 {
-		return 0
-	}
-	return in.Instr / Seconds(c, in.FreqGHz)
-}
-
-// TPI returns average time per instruction in seconds (the metric the
-// co-phase RMA simulator schedules with).
-func TPI(in Inputs) float64 {
-	ips := IPS(in)
-	if ips <= 0 {
-		return 0
-	}
-	return 1 / ips
-}

@@ -157,3 +157,22 @@ func TestQuickIPSMonotoneInFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TPI returns average time per instruction in seconds (the metric the
+// co-phase RMA simulator schedules with).
+func TPI(in Inputs) float64 {
+	ips := IPS(in)
+	if ips <= 0 {
+		return 0
+	}
+	return 1 / ips
+}
+
+// IPS returns instructions per second for the window.
+func IPS(in Inputs) float64 {
+	c := Cycles(in).Total()
+	if c <= 0 {
+		return 0
+	}
+	return in.Instr / Seconds(c, in.FreqGHz)
+}

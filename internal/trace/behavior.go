@@ -112,6 +112,8 @@ type Stream struct {
 
 // ScaleToSlice returns the factor that scales counts measured on the sample
 // window up to one full 100M-instruction slice.
+//
+//qosrma:allow(testonly) simdb's naive-pipeline reference scales its counts by it
 func (s *Stream) ScaleToSlice() float64 {
 	if s.WindowInstr <= 0 {
 		return 0

@@ -22,11 +22,6 @@ type Benchmark struct {
 // NumSlices returns the total number of 100M-instruction slices.
 func (b *Benchmark) NumSlices() int { return len(b.SliceBehavior) }
 
-// TotalInstructions returns the benchmark's full dynamic instruction count.
-func (b *Benchmark) TotalInstructions() float64 {
-	return float64(b.NumSlices()) * SliceInstructions
-}
-
 // SliceJitter captures the small per-slice deviation from the phase's
 // representative behaviour. The thesis notes that its framework cannot
 // capture intra-phase variation; we generate it anyway so that the

@@ -260,3 +260,8 @@ func TestStreamSeedsDifferAcrossBehaviors(t *testing.T) {
 	}
 	_ = stats.NewRNG(s0) // seeds must be valid RNG inputs
 }
+
+// TotalInstructions returns the benchmark's full dynamic instruction count.
+func (b *Benchmark) TotalInstructions() float64 {
+	return float64(b.NumSlices()) * SliceInstructions
+}

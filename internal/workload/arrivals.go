@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"sort"
-
-	"qosrma/internal/stats"
-)
+import "qosrma/internal/stats"
 
 // Arrival is one job of an open-system workload: a benchmark that enters
 // the cluster at an absolute time. Arrival traces are the dynamic
@@ -46,24 +42,4 @@ func PoissonArrivals(benches []string, opt ArrivalOptions) []Arrival {
 		out = append(out, Arrival{ID: i, Bench: benches[rng.Intn(len(benches))], TimeSec: t})
 	}
 	return out
-}
-
-// ClassArrivals draws a Poisson arrival trace whose benchmark population
-// is restricted to the given Paper I classes — the open-system analogue of
-// the category-patterned mixes (e.g. a cluster fed only cache-sensitive
-// work). Profiles outside the classes are ignored; an empty filtered
-// population yields no arrivals.
-func ClassArrivals(profiles []*Profile, classes []Class, opt ArrivalOptions) []Arrival {
-	want := make(map[Class]bool, len(classes))
-	for _, c := range classes {
-		want[c] = true
-	}
-	var benches []string
-	for _, p := range profiles {
-		if want[p.PaperIClass] {
-			benches = append(benches, p.Bench)
-		}
-	}
-	sort.Strings(benches) // profile order is caller-defined; fix the draw order
-	return PoissonArrivals(benches, opt)
 }

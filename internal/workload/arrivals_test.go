@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -99,4 +100,24 @@ func TestClassArrivalsFiltersPopulation(t *testing.T) {
 	if ys := ClassArrivals(profiles, []Class{CompSensitive}, opt); ys != nil {
 		t.Fatal("empty filtered population must yield no arrivals")
 	}
+}
+
+// ClassArrivals draws a Poisson arrival trace whose benchmark population
+// is restricted to the given Paper I classes — the open-system analogue of
+// the category-patterned mixes (e.g. a cluster fed only cache-sensitive
+// work). Profiles outside the classes are ignored; an empty filtered
+// population yields no arrivals.
+func ClassArrivals(profiles []*Profile, classes []Class, opt ArrivalOptions) []Arrival {
+	want := make(map[Class]bool, len(classes))
+	for _, c := range classes {
+		want[c] = true
+	}
+	var benches []string
+	for _, p := range profiles {
+		if want[p.PaperIClass] {
+			benches = append(benches, p.Bench)
+		}
+	}
+	sort.Strings(benches) // profile order is caller-defined; fix the draw order
+	return PoissonArrivals(benches, opt)
 }

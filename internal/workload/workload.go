@@ -29,8 +29,6 @@ const (
 	CompSensitive
 	// CompInsensitive: compute-intensive, cache-insensitive.
 	CompInsensitive
-	// NumClasses is the number of Paper I categories.
-	NumClasses = 4
 )
 
 // String returns the category mnemonic used in the tables.
@@ -253,8 +251,6 @@ const (
 	CIPS
 	// CIPI: cache-insensitive, parallelism-insensitive.
 	CIPI
-	// NumPaperIIClasses is the number of Paper II categories.
-	NumPaperIIClasses = 4
 )
 
 // String returns the category mnemonic.

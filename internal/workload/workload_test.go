@@ -94,7 +94,7 @@ func TestAllPaperIClassesPopulated(t *testing.T) {
 		t.Fatalf("profiled %d benchmarks", len(profiles))
 	}
 	groups := ByClass(profiles)
-	for c := Class(0); c < NumClasses; c++ {
+	for c := MemSensitive; c <= CompInsensitive; c++ {
 		if len(groups[c]) < 2 {
 			t.Errorf("class %s has only %d members", c, len(groups[c]))
 		}
@@ -108,7 +108,7 @@ func TestAllPaperIIClassesPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := ByPaperIIClass(profiles)
-	for c := PaperIIClass(0); c < NumPaperIIClasses; c++ {
+	for c := CSPS; c <= CIPI; c++ {
 		if len(groups[c]) < 1 {
 			t.Errorf("Paper II class %s empty", c)
 		}
