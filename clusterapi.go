@@ -6,6 +6,7 @@ import (
 
 	"qosrma/internal/cluster"
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/workload"
 )
 
@@ -21,7 +22,7 @@ type (
 	// ClusterRow is one job's flattened emitter record.
 	ClusterRow = cluster.Row
 	// ClusterEmitter streams per-job rows in global departure order.
-	ClusterEmitter = cluster.Emitter
+	ClusterEmitter = emit.Emitter[cluster.Row]
 	// ClusterPlacement selects the online placement policy.
 	ClusterPlacement = cluster.Placement
 )
@@ -110,10 +111,7 @@ func (s *System) Cluster(spec ClusterSpec) (*ClusterResult, error) {
 	}
 	model := spec.Model
 	if model == core.Model1 {
-		model = core.Model2
-		if spec.Scheme == RM3 {
-			model = core.Model3
-		}
+		model = spec.Scheme.DefaultModel()
 	}
 	return cluster.Run(s.db, cluster.Spec{
 		Machines:  spec.Machines,
@@ -131,15 +129,15 @@ func (s *System) Cluster(spec ClusterSpec) (*ClusterResult, error) {
 // NewClusterEmitter builds a streaming per-job emitter by format name
 // ("csv" or "json") over the writer.
 func NewClusterEmitter(format string, w io.Writer) (ClusterEmitter, error) {
-	return cluster.NewEmitter(format, w)
+	return emit.New[cluster.Row](format, w)
 }
 
 // WriteClusterCSV renders a cluster result's jobs as CSV (arrival order).
 func WriteClusterCSV(w io.Writer, res *ClusterResult) error {
-	return cluster.WriteCSV(w, res.Jobs)
+	return emit.Write("csv", w, res.Rows())
 }
 
 // WriteClusterJSON renders a cluster result's jobs as JSON lines.
 func WriteClusterJSON(w io.Writer, res *ClusterResult) error {
-	return cluster.WriteJSON(w, res.Jobs)
+	return emit.Write("json", w, res.Rows())
 }

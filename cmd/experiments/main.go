@@ -2,8 +2,11 @@
 // evaluation and prints them as markdown tables (the content recorded in
 // EXPERIMENTS.md). Use -only to run a subset, e.g. -only P1.F4,P2.MD.
 // With -emit csv -rows rows.csv the underlying sweep points stream to a
-// file as they execute; the process-wide sweep cache deduplicates points
-// shared between experiments (stats are logged at exit).
+// file as they execute, one row per point (internal/emit: -emit takes csv,
+// or json, jsonl or ndjson for JSON lines, in any letter case; a CSV file
+// has one header line and each row is flushed as it is written). Without
+// -rows they go to stderr. The process-wide sweep cache deduplicates
+// points shared between experiments (stats are logged at exit).
 //
 // With -cluster the command runs the open-system fleet scenario instead:
 // jobs arrive from a seeded Poisson trace, are placed online by the
@@ -14,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -21,6 +25,7 @@ import (
 
 	"qosrma/internal/cluster"
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/experiments"
 	"qosrma/internal/sweep"
 )
@@ -54,24 +59,8 @@ func main() {
 	}
 
 	if *emitFormat != "" {
-		w := os.Stderr
-		if *rowsPath != "" {
-			f, err := os.Create(*rowsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		em, err := sweep.NewEmitter(*emitFormat, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := em.Close(); err != nil {
-				log.Printf("emit close: %v", err)
-			}
-		}()
+		em, closeRows := openRows[sweep.Row](*emitFormat, *rowsPath)
+		defer closeRows()
 		experiments.Engine().SetEmitter(em)
 	}
 
@@ -283,6 +272,34 @@ type clusterFlags struct {
 	compare              bool
 }
 
+// openRows builds the -emit emitter over the -rows file (default: stderr).
+// The returned function flushes the emitter, then closes the file.
+func openRows[R emit.Row](format, path string) (emit.Emitter[R], func()) {
+	var f *os.File
+	w := io.Writer(os.Stderr)
+	if path != "" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			log.Fatal(err)
+		}
+		w = f
+	}
+	em, err := emit.New[R](format, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return em, func() {
+		if err := em.Close(); err != nil {
+			log.Printf("emit close: %v", err)
+		}
+		if f != nil {
+			if err := f.Close(); err != nil {
+				log.Printf("rows close: %v", err)
+			}
+		}
+	}
+}
+
 // runCluster executes the open-system fleet scenario (EXT.CLUSTER).
 func runCluster(f clusterFlags) {
 	opt := experiments.DefaultClusterOptions()
@@ -291,14 +308,11 @@ func runCluster(f clusterFlags) {
 	opt.MeanInterarrivalSec = f.mean
 	opt.Seed = f.seed
 	opt.Slack = f.slack
-	switch strings.ToLower(f.scheme) {
-	case "rm2":
-		opt.Scheme = core.SchemeCoordDVFSCache
-	case "rm3":
-		opt.Scheme = core.SchemeCoordCoreDVFSCache
-	default:
+	scheme, err := core.ParseScheme(f.scheme)
+	if err != nil || (scheme != core.SchemeCoordDVFSCache && scheme != core.SchemeCoordCoreDVFSCache) {
 		log.Fatalf("unknown -cluster-scheme %q (want rm2 or rm3)", f.scheme)
 	}
+	opt.Scheme = scheme
 	switch strings.ToLower(f.placement) {
 	case "scored":
 		opt.Placement = cluster.PlaceScored
@@ -310,24 +324,8 @@ func runCluster(f clusterFlags) {
 		log.Fatalf("unknown -cluster-placement %q (want scored, firstfit or equilibrium)", f.placement)
 	}
 	if f.emitFormat != "" {
-		w := os.Stderr
-		if f.rowsPath != "" {
-			file, err := os.Create(f.rowsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer file.Close()
-			w = file
-		}
-		em, err := cluster.NewEmitter(f.emitFormat, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := em.Close(); err != nil {
-				log.Printf("emit close: %v", err)
-			}
-		}()
+		em, closeRows := openRows[cluster.Row](f.emitFormat, f.rowsPath)
+		defer closeRows()
 		opt.Emitter = em
 	}
 

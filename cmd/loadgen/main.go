@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qosrma/internal/core"
 	"qosrma/internal/resilience"
 	"qosrma/internal/stats"
 	"qosrma/internal/wire"
@@ -84,12 +85,6 @@ type decideQuery struct {
 
 type decideRequest struct {
 	Queries []decideQuery `json:"queries"`
-}
-
-// schemeIDs maps the -scheme flag to the binary protocol's interned
-// scheme ID (core.Scheme's numeric value).
-var schemeIDs = map[string]uint8{
-	"static": 0, "dvfs": 1, "rm1": 2, "rm2": 3, "rm3": 4, "ucp": 5,
 }
 
 func main() {
@@ -339,11 +334,13 @@ func runJSON(targets []string, mode string, duration time.Duration, conns, batch
 func runWire(targets []string, duration time.Duration, conns, batch int,
 	seed uint64, scheme string, slack float64, population int,
 	sent, errs, drained, reconnects *atomic.Int64, record func(time.Duration)) time.Duration {
-	schemeID, ok := schemeIDs[strings.ToLower(scheme)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "loadgen: -wire needs a canonical scheme name (static, dvfs, rm1, rm2, rm3, ucp), got %q\n", scheme)
+	// The binary protocol's interned scheme ID is core.Scheme's value.
+	sc, err := core.ParseScheme(scheme)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
+	schemeID := uint8(sc)
 	m, err := fetchWireMeta(targets[0])
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)

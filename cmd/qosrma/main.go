@@ -17,6 +17,7 @@ import (
 	"text/tabwriter"
 
 	"qosrma"
+	"qosrma/internal/core"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 	var (
 		cores    = flag.Int("cores", 4, "number of cores")
 		apps     = flag.String("apps", "mcf,soplex,hmmer,namd", "comma-separated benchmarks, one per core")
-		scheme   = flag.String("scheme", "rm2", "static | dvfs | rm1 | rm2 | rm3")
+		scheme   = flag.String("scheme", "rm2", "static | dvfs | rm1 | rm2 | rm3 | ucp")
 		model    = flag.Int("model", 0, "analytical model 1..3 (0 = scheme default)")
 		slack    = flag.Float64("slack", 0, "QoS relaxation, e.g. 0.4 = tolerate 40% slowdown")
 		oracle   = flag.Bool("oracle", false, "use perfect (oracle) statistics")
@@ -41,10 +42,12 @@ func main() {
 		return
 	}
 
-	var (
-		sys *qosrma.System
-		err error
-	)
+	sc, err := core.ParseScheme(*scheme)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	var sys *qosrma.System
 	if *dbPath != "" {
 		sys, err = qosrma.LoadSystem(*dbPath)
 	} else {
@@ -53,22 +56,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	var sc qosrma.Scheme
-	switch strings.ToLower(*scheme) {
-	case "static":
-		sc = qosrma.Static
-	case "dvfs":
-		sc = qosrma.DVFSOnly
-	case "rm1":
-		sc = qosrma.RM1
-	case "rm2":
-		sc = qosrma.RM2
-	case "rm3":
-		sc = qosrma.RM3
-	default:
-		log.Fatalf("unknown scheme %q", *scheme)
 	}
 
 	opts := []qosrma.Option{}

@@ -79,10 +79,10 @@ func main() {
 		routeSpec    = flag.String("route", "", "routing-tier mode: consistent-hash decide traffic across backend groups (groups ';'-separated, replicas ','-separated, optional 'http|wire' per replica)")
 		vnodes       = flag.Int("vnodes", 0, "routing-tier virtual nodes per group (0 = default)")
 		routeRetries = flag.Int("route-retries", 2, "routing-tier extra attempts for idempotent requests (negative disables)")
-		routeTimeout = flag.Duration("route-timeout", 2*time.Second, "routing-tier per-attempt deadline (negative disables)")
+		routeTimeout = flag.Duration("route-timeout", 2*time.Second, "routing-tier per-attempt deadline (0 = default 2s)")
 		routeProbe   = flag.Duration("route-probe-interval", 2*time.Second, "routing-tier health-probe period (0 disables active probing)")
 		routeSeed    = flag.Uint64("route-seed", 1, "routing-tier backoff-jitter seed")
-		maxInflight  = flag.Int("max-inflight", 0, "decide/score load-shed gate (0 = default 1024, negative disables)")
+		maxInflight  = flag.Int("max-inflight", 0, "decide/score load-shed gate (0 = default 1024)")
 		cores        = flag.Int("cores", 4, "cores per machine (when building the database)")
 		dbPath       = flag.String("db", "", "load a compiled database instead of building one (also the SIGHUP reload source)")
 		shards       = flag.Int("shards", 0, "decision shards (0 = GOMAXPROCS, capped at 16)")
@@ -92,6 +92,14 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline on SIGTERM/SIGINT")
 	)
 	flag.Parse()
+	// Every forward attempt has a deadline and every server a load-shed
+	// gate: a negative value is a mistake, not a way to turn either off.
+	if *routeTimeout < 0 {
+		log.Fatal("qosrmad: -route-timeout must not be negative")
+	}
+	if *maxInflight < 0 {
+		log.Fatal("qosrmad: -max-inflight must not be negative")
+	}
 
 	if *routeSpec != "" {
 		runRouter(routerConfig{

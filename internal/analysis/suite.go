@@ -19,6 +19,7 @@ var deterministicPkgs = map[string]bool{
 	"wire":        true,
 	"sched":       true,
 	"equilibrium": true,
+	"emit":        true,
 }
 
 // inScope applies each check's package scope. Scope lives here, in the

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/equilibrium"
 	"qosrma/internal/power"
 	"qosrma/internal/rmasim"
@@ -94,12 +95,9 @@ type Spec struct {
 	Timeline bool
 	// Workers bounds the parallel machine advance (default: GOMAXPROCS).
 	Workers int
-	// MaxEventsPerMachine bounds each machine's event loop as a safety net
-	// (default: the rmasim default).
-	MaxEventsPerMachine int
 	// Emitter, when set, receives one row per job in global departure
 	// order as the simulation progresses.
-	Emitter Emitter
+	Emitter emit.Emitter[Row]
 }
 
 // JobResult is the scored outcome of one job.
@@ -280,9 +278,6 @@ func Run(db *simdb.DB, spec Spec) (*Result, error) {
 	if spec.Workers < 1 {
 		spec.Workers = runtime.GOMAXPROCS(0)
 	}
-	if spec.MaxEventsPerMachine <= 0 {
-		spec.MaxEventsPerMachine = rmasim.DefaultOptions().MaxEvents
-	}
 
 	e := &engine{db: db, spec: spec, scorer: sched.NewScorer(db)}
 	e.jobs = append([]workload.Arrival(nil), spec.Jobs...)
@@ -319,7 +314,6 @@ func Run(db *simdb.DB, spec Spec) (*Result, error) {
 			Slack:  slack,
 		})
 		opt := rmasim.DefaultOptions()
-		opt.MaxEvents = spec.MaxEventsPerMachine
 		opt.Timeline = spec.Timeline
 		e.machines[i] = &machine{
 			id:    i,

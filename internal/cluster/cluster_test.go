@@ -11,6 +11,7 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/equilibrium"
 	"qosrma/internal/sched"
 	"qosrma/internal/simdb"
@@ -109,13 +110,17 @@ func TestClusterDeterministic(t *testing.T) {
 		spec := testSpec(db, 16, 0.3)
 		spec.Workers = workers
 		var csvBuf bytes.Buffer
-		spec.Emitter = NewCSVEmitter(&csvBuf)
+		em, err := emit.New[Row]("csv", &csvBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Emitter = em
 		res, err := Run(db, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var jsonBuf bytes.Buffer
-		if err := WriteJSON(&jsonBuf, res.Jobs); err != nil {
+		if err := emit.Write("json", &jsonBuf, res.Rows()); err != nil {
 			t.Fatal(err)
 		}
 		return res, sha256.Sum256(csvBuf.Bytes()), sha256.Sum256(jsonBuf.Bytes()), csvBuf.Bytes()
@@ -193,7 +198,11 @@ func TestEquilibriumPlacementDeterministic(t *testing.T) {
 		spec.Placement = PlaceEquilibrium
 		spec.Workers = workers
 		var csvBuf bytes.Buffer
-		spec.Emitter = NewCSVEmitter(&csvBuf)
+		em, err := emit.New[Row]("csv", &csvBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Emitter = em
 		res, err := Run(db, spec)
 		if err != nil {
 			t.Fatal(err)

@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Row is one job's flattened outcome, streamed in global departure order
 // as the scenario executes — the cluster counterpart of the sweep
@@ -58,16 +51,7 @@ func rowOf(r JobResult) Row {
 	}
 }
 
-// Emitter receives job rows in global departure order as a scenario
-// executes. The engine serializes Emit calls.
-type Emitter interface {
-	Emit(Row) error
-	// Close flushes any buffered output. The engine does not call it; the
-	// owner of the underlying writer does.
-	Close() error
-}
-
-// csvHeader is the fixed column order of the CSV emitter.
+// csvHeader is the fixed column order of a row's CSV form.
 var csvHeader = []string{
 	"job", "bench", "machine", "core",
 	"arrival_sec", "start_sec", "wait_sec", "finish_sec",
@@ -75,26 +59,13 @@ var csvHeader = []string{
 	"energy_j", "baseline_energy_j", "mean_freq_ghz", "mean_ways",
 }
 
-// CSVEmitter streams rows as CSV with a header line, flushing each record
-// so emitted rows survive a mid-scenario abort.
-type CSVEmitter struct {
-	w     *csv.Writer
-	wrote bool
-}
+// CSVHeader names the CSV columns.
+func (Row) CSVHeader() []string { return csvHeader }
 
-// NewCSVEmitter wraps the writer.
-func NewCSVEmitter(w io.Writer) *CSVEmitter { return &CSVEmitter{w: csv.NewWriter(w)} }
-
-// Emit writes one record (and the header before the first one).
-func (c *CSVEmitter) Emit(r Row) error {
-	if !c.wrote {
-		c.wrote = true
-		if err := c.w.Write(csvHeader); err != nil {
-			return err
-		}
-	}
+// CSVRecord renders the row in csvHeader's column order.
+func (r Row) CSVRecord() []string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	err := c.w.Write([]string{
+	return []string{
 		strconv.Itoa(r.JobID),
 		r.Bench,
 		strconv.Itoa(r.Machine),
@@ -103,64 +74,14 @@ func (c *CSVEmitter) Emit(r Row) error {
 		g(r.TimeSec), g(r.BaselineSec), g(r.ExcessTime), g(r.AllowedSlack),
 		strconv.FormatBool(r.Violated),
 		g(r.Energy), g(r.BaselineEnergy), g(r.MeanFreqGHz), g(r.MeanWays),
-	})
-	if err != nil {
-		return err
-	}
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// Close flushes the CSV writer.
-func (c *CSVEmitter) Close() error {
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// JSONEmitter streams rows as JSON lines (one object per row).
-type JSONEmitter struct {
-	enc *json.Encoder
-}
-
-// NewJSONEmitter wraps the writer.
-func NewJSONEmitter(w io.Writer) *JSONEmitter { return &JSONEmitter{enc: json.NewEncoder(w)} }
-
-// Emit writes one JSON line.
-func (j *JSONEmitter) Emit(r Row) error { return j.enc.Encode(r) }
-
-// Close is a no-op; JSON lines need no trailer.
-func (j *JSONEmitter) Close() error { return nil }
-
-// NewEmitter builds an emitter by format name ("csv" or "json").
-func NewEmitter(format string, w io.Writer) (Emitter, error) {
-	switch strings.ToLower(format) {
-	case "csv":
-		return NewCSVEmitter(w), nil
-	case "json", "jsonl", "ndjson":
-		return NewJSONEmitter(w), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown emit format %q (want csv or json)", format)
 	}
 }
 
-// WriteCSV writes the completed jobs as CSV in one call (arrival order).
-func WriteCSV(w io.Writer, jobs []JobResult) error {
-	em := NewCSVEmitter(w)
-	for _, j := range jobs {
-		if err := em.Emit(rowOf(j)); err != nil {
-			return err
-		}
+// Rows flattens the completed jobs in arrival order.
+func (r *Result) Rows() []Row {
+	rows := make([]Row, len(r.Jobs))
+	for i, j := range r.Jobs {
+		rows[i] = rowOf(j)
 	}
-	return em.Close()
-}
-
-// WriteJSON writes the completed jobs as JSON lines in one call.
-func WriteJSON(w io.Writer, jobs []JobResult) error {
-	em := NewJSONEmitter(w)
-	for _, j := range jobs {
-		if err := em.Emit(rowOf(j)); err != nil {
-			return err
-		}
-	}
-	return em.Close()
+	return rows
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"qosrma/internal/arch"
 	"qosrma/internal/cache"
@@ -54,6 +55,64 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+}
+
+// shortNames are the canonical short names, indexed by Scheme: the names
+// clients send, routing keys carry and /v1/meta lists.
+var shortNames = [...]string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"}
+
+// ShortName returns the canonical short name, or "" for an unknown value.
+func (s Scheme) ShortName() string {
+	if s < 0 || int(s) >= len(shortNames) {
+		return ""
+	}
+	return shortNames[s]
+}
+
+// SchemeShortNames lists the canonical short names in Scheme order.
+func SchemeShortNames() []string { return append([]string(nil), shortNames[:]...) }
+
+// schemeNames maps every accepted lowercase name to its scheme; the empty
+// name is the default, RM2.
+var schemeNames = map[string]Scheme{
+	"static":        SchemeStatic,
+	"dvfs":          SchemeDVFSOnly,
+	"dvfs-only":     SchemeDVFSOnly,
+	"rm1":           SchemePartitionOnly,
+	"partition":     SchemePartitionOnly,
+	"":              SchemeCoordDVFSCache,
+	"rm2":           SchemeCoordDVFSCache,
+	"coord":         SchemeCoordDVFSCache,
+	"rm3":           SchemeCoordCoreDVFSCache,
+	"core":          SchemeCoordCoreDVFSCache,
+	"ucp":           SchemeUCPDVFS,
+	"uncoordinated": SchemeUCPDVFS,
+}
+
+// ParseScheme resolves a scheme's short name or alias, in any letter case.
+func ParseScheme(name string) (Scheme, error) {
+	if scheme, ok := schemeNames[strings.ToLower(name)]; ok {
+		return scheme, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want static, dvfs, rm1, rm2, rm3 or ucp)", name)
+}
+
+// ParseSchemeBytes is ParseScheme over a name's bytes: the lowercase
+// names clients send resolve without allocating.
+func ParseSchemeBytes(name []byte) (Scheme, error) {
+	if scheme, ok := schemeNames[string(name)]; ok {
+		return scheme, nil
+	}
+	return ParseScheme(string(name))
+}
+
+// DefaultModel is the analytical model a scheme runs when none is chosen:
+// Model3, the per-core-size MLP profile of Paper II, for RM3, else Model2.
+func (s Scheme) DefaultModel() ModelKind {
+	if s == SchemeCoordCoreDVFSCache {
+		return Model3
+	}
+	return Model2
 }
 
 // Config configures a resource manager instance.

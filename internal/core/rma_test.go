@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"qosrma/internal/arch"
@@ -232,6 +233,56 @@ func TestSchemeStrings(t *testing.T) {
 		if k.String() == "Model?" {
 			t.Fatal("model name missing")
 		}
+	}
+}
+
+// TestSchemeVocabulary: every short name parses back to its scheme in any
+// letter case, aliases resolve, the byte form agrees without allocating
+// for lowercase names, and only RM3 defaults to Model3.
+func TestSchemeVocabulary(t *testing.T) {
+	names := SchemeShortNames()
+	if len(names) != int(SchemeUCPDVFS)+1 {
+		t.Fatalf("%d short names for %d schemes", len(names), SchemeUCPDVFS+1)
+	}
+	for i, name := range names {
+		s := Scheme(i)
+		if s.ShortName() != name {
+			t.Errorf("%v.ShortName() = %q, want %q", s, s.ShortName(), name)
+		}
+		for _, spelled := range []string{name, strings.ToUpper(name)} {
+			if got, err := ParseScheme(spelled); err != nil || got != s {
+				t.Errorf("ParseScheme(%q) = %v, %v", spelled, got, err)
+			}
+			if got, err := ParseSchemeBytes([]byte(spelled)); err != nil || got != s {
+				t.Errorf("ParseSchemeBytes(%q) = %v, %v", spelled, got, err)
+			}
+		}
+		want := Model2
+		if s == SchemeCoordCoreDVFSCache {
+			want = Model3
+		}
+		if s.DefaultModel() != want {
+			t.Errorf("%v.DefaultModel() = %v, want %v", s, s.DefaultModel(), want)
+		}
+	}
+	for alias, want := range map[string]Scheme{
+		"": SchemeCoordDVFSCache, "dvfs-only": SchemeDVFSOnly, "Partition": SchemePartitionOnly,
+		"coord": SchemeCoordDVFSCache, "CORE": SchemeCoordCoreDVFSCache, "uncoordinated": SchemeUCPDVFS,
+	} {
+		if got, err := ParseScheme(alias); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v, want %v", alias, got, err, want)
+		}
+	}
+	if Scheme(-1).ShortName() != "" || Scheme(len(names)).ShortName() != "" {
+		t.Error("an unknown scheme has a short name")
+	}
+	_, err := ParseScheme("rm4")
+	if err == nil || err.Error() != `unknown scheme "rm4" (want static, dvfs, rm1, rm2, rm3 or ucp)` {
+		t.Errorf("ParseScheme(rm4) error %v", err)
+	}
+	name := []byte("rm3")
+	if n := testing.AllocsPerRun(100, func() { ParseSchemeBytes(name) }); n != 0 {
+		t.Errorf("ParseSchemeBytes allocates %v times per lowercase name", n)
 	}
 }
 

@@ -69,11 +69,12 @@ type Config struct {
 	// use seeded assignments. The cluster engine passes the fleet's
 	// current physical assignment here.
 	Initial []int
-	// Tol is the payoff-improvement tolerance below which a deviation is
-	// not considered profitable (default 1e-12) — the same epsilon the
-	// swap descent uses, keeping fixed points stable under float noise.
-	Tol float64
 }
+
+// tol is the payoff-improvement tolerance below which a deviation is not
+// considered profitable — the same epsilon the swap descent uses, keeping
+// fixed points stable under float noise.
+const tol = 1e-12
 
 // Equilibrium is one certified pure Nash equilibrium of the placement
 // game.
@@ -124,9 +125,6 @@ func (cfg Config) withDefaults(sc *sched.Scorer, players int) (Config, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-12
 	}
 	if cfg.Initial != nil {
 		if len(cfg.Initial) != players {
@@ -339,7 +337,7 @@ func (g *game) current(m int) (float64, error) {
 }
 
 // bestResponse moves player p to its best feasible machine; it reports
-// whether p moved. Deviations are profitable only beyond Tol, and ties
+// whether p moved. Deviations are profitable only beyond tol, and ties
 // keep the lowest machine index (the current machine wins all ties), so
 // the dynamics are deterministic.
 //
@@ -359,7 +357,7 @@ func (g *game) bestResponse(p int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if pay > bestPay+g.cfg.Tol {
+		if pay > bestPay+tol {
 			bestM, bestPay = m, pay
 		}
 	}
@@ -511,7 +509,7 @@ func tenantLists(sc *sched.Scorer, players []simdb.BenchID, assign []int, machin
 
 // verify checks the no-improvement certificate from scratch: for every
 // player and every feasible alternative machine, the unilateral deviation
-// payoff must not beat the player's current payoff by more than Tol. It
+// payoff must not beat the player's current payoff by more than tol. It
 // rebuilds its own tenant lists from assign, queries the scorer directly
 // and shares no dynamics state with Solve, so a true result is an
 // independent proof that assign is a pure Nash equilibrium of the
@@ -537,7 +535,7 @@ func verify(sc *sched.Scorer, players []simdb.BenchID, assign []int, cfg Config)
 			if err != nil {
 				return false, err
 			}
-			if pay > cur+cfg.Tol {
+			if pay > cur+tol {
 				return false, nil
 			}
 		}

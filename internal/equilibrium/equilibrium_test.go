@@ -349,7 +349,7 @@ func refSolve(t *testing.T, db *simdb.DB, players []string, cfg Config) *Equilib
 				if m == cur || occ[m] >= cfg.Capacity {
 					continue
 				}
-				if pay := score(tenants(m, p, m)); pay > bestPay+cfg.Tol {
+				if pay := score(tenants(m, p, m)); pay > bestPay+tol {
 					bestM, bestPay = m, pay
 				}
 			}

@@ -6,6 +6,7 @@ import (
 
 	"qosrma/internal/cluster"
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/simdb"
 	"qosrma/internal/stats"
 	"qosrma/internal/workload"
@@ -23,7 +24,7 @@ type ClusterOptions struct {
 	Scheme              core.Scheme
 	Placement           cluster.Placement
 	// Emitter optionally streams per-job rows as the scenario executes.
-	Emitter cluster.Emitter
+	Emitter emit.Emitter[cluster.Row]
 }
 
 // DefaultClusterOptions returns a moderately loaded fleet: four machines,
@@ -43,10 +44,6 @@ func DefaultClusterOptions() ClusterOptions {
 // analytical model follows the scheme (Model 2, or Model 3 for RM3), as in
 // the closed-world experiments.
 func RunCluster(db *simdb.DB, opt ClusterOptions) (*cluster.Result, error) {
-	model := core.Model2
-	if opt.Scheme == core.SchemeCoordCoreDVFSCache {
-		model = core.Model3
-	}
 	jobs := workload.PoissonArrivals(db.BenchNames(), workload.ArrivalOptions{
 		Jobs:                opt.Jobs,
 		MeanInterarrivalSec: opt.MeanInterarrivalSec,
@@ -55,7 +52,7 @@ func RunCluster(db *simdb.DB, opt ClusterOptions) (*cluster.Result, error) {
 	return cluster.Run(db, cluster.Spec{
 		Machines:  opt.Machines,
 		Scheme:    opt.Scheme,
-		Model:     model,
+		Model:     opt.Scheme.DefaultModel(),
 		Slack:     opt.Slack,
 		Jobs:      jobs,
 		Placement: opt.Placement,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"qosrma/internal/core"
@@ -228,19 +229,7 @@ func pooledViolationStats(results []*rmasim.Result) (mean, std float64) {
 	if variance < 0 {
 		variance = 0
 	}
-	return mean, sqrt(variance)
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations are plenty for reporting precision.
-	z := x
-	for i := 0; i < 30; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return mean, math.Sqrt(variance)
 }
 
 // ModelTable renders the model comparison.

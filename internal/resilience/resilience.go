@@ -259,27 +259,21 @@ func (b *Breaker) State() BreakerState {
 // Gate is a concurrency-limited load-shed gate: TryAcquire admits up to
 // the configured limit of concurrent holders and refuses beyond it, so a
 // server answers "overloaded" immediately instead of queueing without
-// bound. A nil *Gate admits everything (the disabled configuration).
+// bound.
 type Gate struct {
 	sem  chan struct{}
 	shed atomic.Uint64
 }
 
-// NewGate builds a gate admitting limit concurrent holders; limit <= 0
-// returns nil (unlimited).
+// NewGate builds a gate admitting limit concurrent holders; limit must
+// be positive.
 func NewGate(limit int) *Gate {
-	if limit <= 0 {
-		return nil
-	}
 	return &Gate{sem: make(chan struct{}, limit)}
 }
 
 // TryAcquire attempts to enter the gate without blocking. A refusal is
 // counted as a shed.
 func (g *Gate) TryAcquire() bool {
-	if g == nil {
-		return true
-	}
 	select {
 	case g.sem <- struct{}{}:
 		return true
@@ -290,32 +284,13 @@ func (g *Gate) TryAcquire() bool {
 }
 
 // Release exits the gate (pair with a successful TryAcquire).
-func (g *Gate) Release() {
-	if g != nil {
-		<-g.sem
-	}
-}
+func (g *Gate) Release() { <-g.sem }
 
 // Inflight returns the current holder count.
-func (g *Gate) Inflight() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.sem)
-}
+func (g *Gate) Inflight() int { return len(g.sem) }
 
 // Shed returns how many acquisitions were refused.
-func (g *Gate) Shed() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.shed.Load()
-}
+func (g *Gate) Shed() uint64 { return g.shed.Load() }
 
-// Limit returns the gate's capacity (0 when disabled).
-func (g *Gate) Limit() int {
-	if g == nil {
-		return 0
-	}
-	return cap(g.sem)
-}
+// Limit returns the gate's capacity.
+func (g *Gate) Limit() int { return cap(g.sem) }

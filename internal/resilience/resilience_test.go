@@ -194,7 +194,7 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 }
 
 // TestGateShedsAtLimit: the gate admits exactly limit concurrent holders
-// and counts refusals; a nil gate admits everything.
+// and counts refusals.
 func TestGateShedsAtLimit(t *testing.T) {
 	g := NewGate(2)
 	if !g.TryAcquire() || !g.TryAcquire() {
@@ -212,15 +212,6 @@ func TestGateShedsAtLimit(t *testing.T) {
 	}
 	g.Release()
 	g.Release()
-
-	var nilGate *Gate = NewGate(0)
-	if nilGate != nil {
-		t.Fatal("limit 0 should build the disabled (nil) gate")
-	}
-	if !nilGate.TryAcquire() || nilGate.Shed() != 0 {
-		t.Fatal("nil gate must admit everything")
-	}
-	nilGate.Release()
 }
 
 // TestProberEjectsAndReadmits: FailThreshold consecutive failures eject;

@@ -73,9 +73,8 @@ type replica struct {
 // Options tunes the proxy's resilience behaviour. The zero value selects
 // the defaults noted per field.
 type Options struct {
-	// AttemptTimeout bounds one forward attempt (default 2s; negative
-	// disables the per-attempt deadline — the client's own context still
-	// applies).
+	// AttemptTimeout bounds one forward attempt, on both codecs (default
+	// 2s when zero or negative).
 	AttemptTimeout time.Duration
 	// Retries is the extra attempts granted to idempotent requests after
 	// the first failure (default 2; negative disables retries).
@@ -96,11 +95,8 @@ type Options struct {
 }
 
 func (o Options) attemptTimeout() time.Duration {
-	if o.AttemptTimeout == 0 {
+	if o.AttemptTimeout <= 0 {
 		return 2 * time.Second
-	}
-	if o.AttemptTimeout < 0 {
-		return 0
 	}
 	return o.AttemptTimeout
 }
@@ -543,16 +539,12 @@ type backendResponse struct {
 // completed answer is returned, whatever its status.
 func (p *Proxy) attempt(ctx context.Context, ri int, method, uri, contentType string, body []byte) (*backendResponse, error) {
 	addr := p.replicas[ri].addr
-	if t := p.opt.attemptTimeout(); t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, p.opt.attemptTimeout())
+	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	//qosrma:allow(ctxdeadline) deadline is attached above unless the operator set AttemptTimeout<0 to disable it; the inbound request's ctx still cancels the attempt
 	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+uri, rd)
 	if err != nil {
 		return nil, err

@@ -12,6 +12,12 @@ import (
 	"qosrma/internal/service"
 )
 
+// wireSchemeNames are the routing key's scheme names by interned ID, the
+// reference key_test.go renders keys with. They are spelled out here
+// rather than taken from core, so a renamed scheme fails the key tests
+// instead of silently moving placement.
+var wireSchemeNames = [...]string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"}
+
 func testGroups(n, replicas int) []Backend {
 	groups := make([]Backend, n)
 	for i := range groups {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qosrma/internal/core"
 	"qosrma/internal/ops"
 	"qosrma/internal/wire"
 )
@@ -105,11 +106,6 @@ func (m *wireMeta) benchName(id uint16) string {
 }
 
 func unknownBench(id uint16) string { return "#" + strconv.Itoa(int(id)) }
-
-// defaultWireTimeout floors every wire-connection deadline when the
-// operator disabled the per-attempt timeout: raw conn I/O has no
-// context to fall back on and must never be unbounded.
-const defaultWireTimeout = 2 * time.Second
 
 // wireConn is one pooled backend connection with its framing reader.
 type wireConn struct {
@@ -218,11 +214,7 @@ func (wp *WireProxy) serveConn(c net.Conn) {
 		// reading its responses must not wedge the proxy goroutine.
 		// (Reads stay unbounded — an idle connection is legal, a
 		// stalled write is not.)
-		wd := wp.p.opt.attemptTimeout()
-		if wd <= 0 {
-			wd = defaultWireTimeout
-		}
-		c.SetWriteDeadline(time.Now().Add(wd)) //nolint:errcheck // net.TCPConn deadlines cannot fail
+		c.SetWriteDeadline(time.Now().Add(wp.p.opt.attemptTimeout())) //nolint:errcheck // net.TCPConn deadlines cannot fail
 		if err != nil {
 			if errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrTooLarge) {
 				code := wire.ErrCodeUnsupported
@@ -447,10 +439,6 @@ func (wp *WireProxy) knownMeta() (*wireMeta, error) {
 	return nil, nil
 }
 
-// wireSchemeNames maps interned scheme IDs to the canonical lowercased
-// names the JSON path routes by, keeping both codecs' placement aligned.
-var wireSchemeNames = [...]string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"}
-
 // wireKeyHashes appends Hash(RoutingKey(q)) for the JSON form q of each
 // query of req to hs, rendering the batch prefix into prefix once.
 //
@@ -461,9 +449,9 @@ func wireKeyHashes(hs []uint64, prefix []byte, req *wire.DecideRequest, meta *wi
 		slack  float64
 		slacks []float64
 	)
-	if int(req.Scheme) < len(wireSchemeNames) {
-		scheme = wireSchemeNames[req.Scheme]
-	} else {
+	// The interned ID's canonical short name is the name the JSON path
+	// routes by, which keeps both codecs' placement aligned.
+	if scheme = core.Scheme(req.Scheme).ShortName(); scheme == "" {
 		scheme = strconv.Itoa(int(req.Scheme))
 	}
 	switch {
@@ -494,10 +482,12 @@ func (pool *wirePool) get(dials *ops.Counter, timeout time.Duration) (*wireConn,
 		return wc, nil
 	}
 	pool.mu.Unlock()
-	if timeout <= 0 {
-		timeout = defaultWireTimeout
-	}
-	c, err := net.DialTimeout("tcp", pool.addr, timeout)
+	// A context deadline bounds the dial whatever the timeout's value,
+	// where DialTimeout would read a zero timeout as no limit at all.
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", pool.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -532,14 +522,9 @@ func (pool *wirePool) roundTrip(dials *ops.Counter, timeout time.Duration, frame
 	if err != nil {
 		return 0, respBuf, err
 	}
-	// A forward attempt must always be bounded. Unlike the HTTP path
-	// there is no caller context to fall back on, so a disabled
-	// per-attempt timeout (AttemptTimeout < 0) is floored rather than
-	// skipped — a backend that accepts the connection and then goes
-	// silent would otherwise wedge this goroutine forever.
-	if timeout <= 0 {
-		timeout = defaultWireTimeout
-	}
+	// A forward attempt must always be bounded: unlike the HTTP path there
+	// is no caller context, so a backend that accepts the connection and
+	// then goes silent would otherwise wedge this goroutine forever.
 	wc.c.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck // net.TCPConn deadlines cannot fail
 	if _, err := wc.c.Write(frame); err != nil {
 		wc.c.Close()

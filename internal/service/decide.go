@@ -217,47 +217,11 @@ func (sh *shard) adopt(sn *snapshot) {
 	sh.statPtrs = make([]*core.IntervalStats, n)
 }
 
-// schemeNames maps every accepted lowercase scheme name.
-var schemeNames = map[string]core.Scheme{
-	"static":        core.SchemeStatic,
-	"dvfs":          core.SchemeDVFSOnly,
-	"dvfs-only":     core.SchemeDVFSOnly,
-	"rm1":           core.SchemePartitionOnly,
-	"partition":     core.SchemePartitionOnly,
-	"":              core.SchemeCoordDVFSCache,
-	"rm2":           core.SchemeCoordDVFSCache,
-	"coord":         core.SchemeCoordDVFSCache,
-	"rm3":           core.SchemeCoordCoreDVFSCache,
-	"core":          core.SchemeCoordCoreDVFSCache,
-	"ucp":           core.SchemeUCPDVFS,
-	"uncoordinated": core.SchemeUCPDVFS,
-}
-
-// parseScheme resolves the wire name of a scheme, in any letter case.
-func parseScheme(name string) (core.Scheme, error) {
-	if scheme, ok := schemeNames[strings.ToLower(name)]; ok {
-		return scheme, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (want static, dvfs, rm1, rm2, rm3 or ucp)", name)
-}
-
-// parseSchemeBytes is parseScheme over a name's bytes: the lowercase
-// names clients send resolve without allocating.
-func parseSchemeBytes(name []byte) (core.Scheme, error) {
-	if scheme, ok := schemeNames[string(name)]; ok {
-		return scheme, nil
-	}
-	return parseScheme(string(name))
-}
-
 // parseModel resolves the wire model number, applying the scheme default.
 func parseModel(model int, scheme core.Scheme) (core.ModelKind, error) {
 	switch model {
 	case 0:
-		if scheme == core.SchemeCoordCoreDVFSCache {
-			return core.Model3, nil
-		}
-		return core.Model2, nil
+		return scheme.DefaultModel(), nil
 	case 1:
 		return core.Model1, nil
 	case 2:

@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"sync"
 
+	"qosrma/internal/core"
 	"qosrma/internal/simdb"
 )
 
@@ -167,8 +168,8 @@ func (s *Server) resolveJSON(sn *snapshot, sc *jsonScratch) error {
 		sc.queries = append(sc.queries, sc.top)
 	}
 	qs := sc.queries
-	if len(qs) > s.opt.MaxBatch {
-		return fmt.Errorf("batch of %d queries exceeds the limit of %d", len(qs), s.opt.MaxBatch)
+	if len(qs) > maxBatch {
+		return errBatchTooLarge(len(qs))
 	}
 	n := sn.db.Sys.NumCores
 	sc.prepare(len(qs), len(sc.apps), len(qs)*n)
@@ -189,7 +190,7 @@ func (sc *jsonScratch) resolveOne(db *simdb.DB, qi int, jq *jsonQuery) error {
 	if len(apps) != n {
 		return fmt.Errorf("co-phase vector needs %d apps (one per core), got %d", n, len(apps))
 	}
-	scheme, err := parseSchemeBytes(jq.scheme)
+	scheme, err := core.ParseSchemeBytes(jq.scheme)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"qosrma/internal/arch"
+	"qosrma/internal/core"
 	"qosrma/internal/simdb"
 	"qosrma/internal/stats"
 )
@@ -30,7 +31,7 @@ func resolveQueryRef(sn *snapshot, q *DecideQuery) (*decideQuery, error) {
 	if len(q.Apps) != n {
 		return nil, fmt.Errorf("co-phase vector needs %d apps (one per core), got %d", n, len(q.Apps))
 	}
-	scheme, err := parseScheme(q.Scheme)
+	scheme, err := core.ParseScheme(q.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +121,9 @@ func (s *Server) referenceDecide(w http.ResponseWriter, r *http.Request) {
 	if single {
 		wq = []DecideQuery{req.DecideQuery}
 	}
-	if len(wq) > s.opt.MaxBatch {
+	if len(wq) > maxBatch {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wq), s.opt.MaxBatch))
+			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(wq), maxBatch))
 		return
 	}
 	queries := make([]*decideQuery, len(wq))

@@ -28,6 +28,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"runtime"
@@ -35,11 +36,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qosrma/internal/core"
 	"qosrma/internal/ops"
 	"qosrma/internal/resilience"
 	"qosrma/internal/simdb"
 	"qosrma/internal/sweep"
 )
+
+// maxBatch bounds the decide queries accepted in one request, on either
+// codec.
+const maxBatch = 1024
+
+// errBatchTooLarge is the answer to a decide request of n > maxBatch
+// queries. It stays out of line, so its formatting is not charged to the
+// allocation-free resolvers that call it.
+//
+//go:noinline
+func errBatchTooLarge(n int) error {
+	return fmt.Errorf("batch of %d queries exceeds the limit of %d", n, maxBatch)
+}
 
 // Options configures a Server.
 type Options struct {
@@ -49,17 +64,14 @@ type Options struct {
 	// CacheSize is the per-shard decision LRU capacity in entries
 	// (0 = default 4096, negative disables caching).
 	CacheSize int
-	// MaxBatch bounds the queries accepted in one HTTP request
-	// (default 1024).
-	MaxBatch int
 	// MaxJobs bounds the retained sweep jobs (default 64): at the cap the
 	// oldest finished job is evicted, and submits are refused with 429
 	// while every slot is running.
 	MaxJobs int
 	// MaxInflight bounds concurrently served decide/score requests: at
 	// the limit the server answers 503 + Retry-After immediately instead
-	// of queueing without bound (load shedding). 0 selects the default
-	// 1024; negative disables the gate.
+	// of queueing without bound (load shedding). Zero or negative selects
+	// the default 1024.
 	MaxInflight int
 
 	// Source labels the initial database in /admin/status and /v1/meta
@@ -89,13 +101,10 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 64
 	}
-	if o.MaxInflight == 0 {
+	if o.MaxInflight <= 0 {
 		o.MaxInflight = 1024
 	}
 	if o.Source == "" {
@@ -129,8 +138,7 @@ type Server struct {
 	stateMu sync.RWMutex
 	closed  bool
 
-	// gate sheds decide/score load beyond Options.MaxInflight (nil =
-	// unlimited).
+	// gate sheds decide/score load beyond Options.MaxInflight.
 	gate *resilience.Gate
 
 	// Binary serving path (wireserver.go): counters plus the listener and
@@ -435,7 +443,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	m := Meta{
 		NumCores: db.Sys.NumCores,
 		LLCAssoc: db.Sys.LLC.Assoc,
-		Schemes:  []string{"static", "dvfs", "rm1", "rm2", "rm3", "ucp"},
+		Schemes:  core.SchemeShortNames(),
 		Shards:   len(s.shards),
 		DBHash:   sn.hash,
 		DBGen:    sn.gen,

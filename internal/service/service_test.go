@@ -481,6 +481,42 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Fatalf("JSON result malformed:\n%s", jsonBuf.String())
 	}
 
+	// Format names match in any letter case, with unchanged media types,
+	// and an unknown one is a client error.
+	for _, c := range []struct {
+		format, mime string
+		code         int
+		body         string
+	}{
+		{"", "text/csv", http.StatusOK, csvBuf.String()},
+		{"JSON", "application/json", http.StatusOK, jsonBuf.String()},
+		{"ndjson", "application/json", http.StatusOK, jsonBuf.String()},
+		{"xml", "", http.StatusBadRequest, ""},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/sweep/" + status.ID + "/result?format=" + c.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Fatalf("format=%s: status %d, want %d", c.format, resp.StatusCode, c.code)
+		}
+		if c.code != http.StatusOK {
+			continue
+		}
+		if got := resp.Header.Get("Content-Type"); got != c.mime {
+			t.Fatalf("format=%s: Content-Type %q, want %q", c.format, got, c.mime)
+		}
+		if body.String() != c.body {
+			t.Fatalf("format=%s streamed\n%s\nwant\n%s", c.format, body.String(), c.body)
+		}
+	}
+	if n := strings.Count(jsonBuf.String(), "\n"); n != 4 {
+		t.Fatalf("JSON result has %d lines, want one per point (4)", n)
+	}
+
 	// Unknown job and bad spec answer 4xx.
 	if resp, err = http.Get(ts.URL + "/v1/sweep/job-999"); err != nil {
 		t.Fatal(err)

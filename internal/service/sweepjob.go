@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/sweep"
 	"qosrma/internal/workload"
 )
@@ -190,7 +191,7 @@ func compileSweep(sn *snapshot, req *SweepRequest) (sweep.Spec, []sweep.RunSpec,
 		return spec, nil, fmt.Errorf("sweep needs at least one scheme")
 	}
 	for _, name := range req.Schemes {
-		scheme, err := parseScheme(name)
+		scheme, err := core.ParseScheme(name)
 		if err != nil {
 			return spec, nil, err
 		}
@@ -342,15 +343,11 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "csv"
 	}
-	rows := res.Rows()
-	switch format {
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		sweep.WriteCSV(w, rows) //nolint:errcheck // client gone mid-stream
-	case "json", "jsonl", "ndjson":
-		w.Header().Set("Content-Type", "application/json")
-		sweep.WriteJSON(w, rows) //nolint:errcheck // client gone mid-stream
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want csv or json)", format))
+	f, err := emit.Parse(format)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	w.Header().Set("Content-Type", f.ContentType())
+	emit.Write(format, w, res.Rows()) //nolint:errcheck // client gone mid-stream
 }

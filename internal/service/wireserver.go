@@ -350,9 +350,8 @@ func (s *Server) resolveWireQueries(sn *snapshot, sc *wireScratch) (int, wire.Er
 		return 0, wire.ErrCodeMalformed, err
 	}
 	count := req.Count()
-	if count > s.opt.MaxBatch {
-		return 0, wire.ErrCodeMalformed,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", count, s.opt.MaxBatch)
+	if count > maxBatch {
+		return 0, wire.ErrCodeMalformed, errBatchTooLarge(count)
 	}
 	rs := &sc.resolver
 	rs.prepare(count, count*n, n)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qosrma/internal/arch"
+	"qosrma/internal/core"
 	"qosrma/internal/stats"
 	"qosrma/internal/wire"
 )
@@ -75,7 +76,7 @@ func wireTrace(t testing.TB, srv *Server, seed uint64, count int) ([]DecideReque
 	wireReqs := make([]wire.DecideRequest, count)
 	for i := range jsonReqs {
 		scheme := schemes[i%len(schemes)]
-		schemeID, err := parseScheme(scheme)
+		schemeID, err := core.ParseScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +453,7 @@ func TestWireScratchReuseAcrossConfigs(t *testing.T) {
 	var resp wire.DecideResponse
 	for i := 0; i < 12; i++ {
 		scheme := []string{"rm2", "rm3"}[i%2]
-		schemeID, _ := parseScheme(scheme)
+		schemeID, _ := core.ParseScheme(scheme)
 		slack := []float64{0, 0.1, 0.25}[i%3]
 		apps := make([]AppQuery, n)
 		wapps := make([]wire.App, n)

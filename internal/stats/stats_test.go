@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -137,50 +136,6 @@ func TestMeanAndStdDev(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if got != 2.5 {
-		t.Fatalf("WeightedMean = %v, want 2.5", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Fatal("empty WeightedMean should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(50) // clamps to last bin
-	if h.N != 12 {
-		t.Fatalf("N = %d, want 12", h.N)
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	r := NewRNG(10)
 	xs := make([]float64, 1000)
@@ -204,26 +159,6 @@ func TestMinMaxSum(t *testing.T) {
 	}
 }
 
-func TestQuickPercentileWithinBounds(t *testing.T) {
-	f := func(raw []float64, p8 uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p := float64(p8) / 255 * 100
-		v := Percentile(xs, p)
-		return v >= Min(xs) && v <= Max(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickMeanBetweenMinAndMax(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -241,89 +176,4 @@ func TestQuickMeanBetweenMinAndMax(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// WeightedMean returns the mean of xs weighted by ws. It panics if the
-// lengths differ and returns 0 when the total weight is zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sum, wsum float64
-	for i, x := range xs {
-		sum += x * ws[i]
-		wsum += ws[i]
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeoMean returns the geometric mean of xs; all elements must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Histogram is a fixed-bin-width histogram over [Lo, Hi). Values outside the
-// range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bin := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.N++
 }

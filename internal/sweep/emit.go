@@ -1,10 +1,6 @@
 package sweep
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -66,17 +62,7 @@ func makeRow(sweepName string, idx int, spec RunSpec, res *rmasim.Result) Row {
 	}
 }
 
-// Emitter receives aggregated rows in deterministic point order as a
-// sweep executes. Implementations need not be safe for concurrent use:
-// the engine serializes Emit calls.
-type Emitter interface {
-	Emit(Row) error
-	// Close flushes any buffered output. The engine does not call it; the
-	// owner of the underlying writer does.
-	Close() error
-}
-
-// csvHeader is the fixed column order of the CSV emitter.
+// csvHeader is the fixed column order of a row's CSV form.
 var csvHeader = []string{
 	"sweep", "index", "mix", "apps", "scheme", "model", "oracle", "slack",
 	"baseline_freq_idx", "feedback", "switch_scale", "per_core_gbps",
@@ -84,30 +70,16 @@ var csvHeader = []string{
 	"violation_mean_pct", "violation_std_pct",
 }
 
-// CSVEmitter streams rows as CSV with a header line.
-type CSVEmitter struct {
-	w     *csv.Writer
-	wrote bool
-}
+// CSVHeader names the CSV columns.
+func (Row) CSVHeader() []string { return csvHeader }
 
-// NewCSVEmitter wraps the writer.
-func NewCSVEmitter(w io.Writer) *CSVEmitter { return &CSVEmitter{w: csv.NewWriter(w)} }
-
-// Emit writes one record (and the header before the first one). Each
-// record is flushed through to the underlying writer immediately, so rows
-// already emitted survive even if the process aborts mid-sweep.
-func (c *CSVEmitter) Emit(r Row) error {
-	if !c.wrote {
-		c.wrote = true
-		if err := c.w.Write(csvHeader); err != nil {
-			return err
-		}
-	}
+// CSVRecord renders the row in csvHeader's column order.
+func (r Row) CSVRecord() []string {
 	slack := make([]string, len(r.Slack))
 	for i, v := range r.Slack {
 		slack[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
-	err := c.w.Write([]string{
+	return []string{
 		r.Sweep,
 		strconv.Itoa(r.Index),
 		r.Mix,
@@ -126,64 +98,5 @@ func (c *CSVEmitter) Emit(r Row) error {
 		strconv.Itoa(r.IntervalViolations),
 		strconv.FormatFloat(r.ViolationMeanPct, 'g', -1, 64),
 		strconv.FormatFloat(r.ViolationStdPct, 'g', -1, 64),
-	})
-	if err != nil {
-		return err
-	}
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// Close flushes the CSV writer.
-func (c *CSVEmitter) Close() error {
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// JSONEmitter streams rows as JSON lines (one object per row).
-type JSONEmitter struct {
-	enc *json.Encoder
-}
-
-// NewJSONEmitter wraps the writer.
-func NewJSONEmitter(w io.Writer) *JSONEmitter { return &JSONEmitter{enc: json.NewEncoder(w)} }
-
-// Emit writes one JSON line.
-func (j *JSONEmitter) Emit(r Row) error { return j.enc.Encode(r) }
-
-// Close is a no-op; JSON lines need no trailer.
-func (j *JSONEmitter) Close() error { return nil }
-
-// WriteCSV writes the rows as CSV in one call.
-func WriteCSV(w io.Writer, rows []Row) error {
-	em := NewCSVEmitter(w)
-	for _, r := range rows {
-		if err := em.Emit(r); err != nil {
-			return err
-		}
-	}
-	return em.Close()
-}
-
-// WriteJSON writes the rows as JSON lines in one call.
-func WriteJSON(w io.Writer, rows []Row) error {
-	em := NewJSONEmitter(w)
-	for _, r := range rows {
-		if err := em.Emit(r); err != nil {
-			return err
-		}
-	}
-	return em.Close()
-}
-
-// NewEmitter builds an emitter by format name ("csv" or "json").
-func NewEmitter(format string, w io.Writer) (Emitter, error) {
-	switch strings.ToLower(format) {
-	case "csv":
-		return NewCSVEmitter(w), nil
-	case "json", "jsonl", "ndjson":
-		return NewJSONEmitter(w), nil
-	default:
-		return nil, fmt.Errorf("sweep: unknown emit format %q (want csv or json)", format)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"qosrma/internal/emit"
 	"qosrma/internal/rmasim"
 )
 
@@ -19,7 +20,7 @@ type Engine struct {
 	workers int
 	exec    func(RunSpec) (*rmasim.Result, error)
 	emitMu  sync.Mutex
-	emitter Emitter
+	emitter emit.Emitter[Row]
 }
 
 // NewEngine builds an engine with a fresh cache.
@@ -35,7 +36,7 @@ func NewEngine() *Engine {
 func (e *Engine) Cache() *Cache { return e.cache }
 
 // SetEmitter installs or replaces the streaming emitter (nil disables).
-func (e *Engine) SetEmitter(em Emitter) {
+func (e *Engine) SetEmitter(em emit.Emitter[Row]) {
 	e.emitMu.Lock()
 	e.emitter = em
 	e.emitMu.Unlock()

@@ -9,6 +9,7 @@ import (
 
 	"qosrma/internal/arch"
 	"qosrma/internal/core"
+	"qosrma/internal/emit"
 	"qosrma/internal/rmasim"
 	"qosrma/internal/simdb"
 	"qosrma/internal/workload"
@@ -327,7 +328,7 @@ func TestEngineStreamsRowsInOrder(t *testing.T) {
 	}
 }
 
-// emitterFunc adapts a function to the Emitter interface.
+// emitterFunc adapts a function to emit.Emitter.
 type emitterFunc func(Row) error
 
 func (f emitterFunc) Emit(r Row) error { return f(r) }
@@ -341,7 +342,7 @@ func TestCSVAndJSONEmitters(t *testing.T) {
 			BaselineFreqIdx: -1, EnergySavings: 0.05, Violations: 2},
 	}
 	var csvOut strings.Builder
-	if err := WriteCSV(&csvOut, rows); err != nil {
+	if err := emit.Write("csv", &csvOut, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csvOut.String()), "\n")
@@ -356,7 +357,7 @@ func TestCSVAndJSONEmitters(t *testing.T) {
 	}
 
 	var jsonOut strings.Builder
-	if err := WriteJSON(&jsonOut, rows); err != nil {
+	if err := emit.Write("json", &jsonOut, rows); err != nil {
 		t.Fatal(err)
 	}
 	jlines := strings.Split(strings.TrimSpace(jsonOut.String()), "\n")
@@ -367,7 +368,7 @@ func TestCSVAndJSONEmitters(t *testing.T) {
 		t.Fatalf("JSON row wrong: %s", jlines[0])
 	}
 
-	if _, err := NewEmitter("xml", nil); err == nil {
+	if _, err := emit.New[Row]("xml", nil); err == nil {
 		t.Fatal("unknown emitter format accepted")
 	}
 }

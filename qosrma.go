@@ -224,10 +224,7 @@ func WithTimeline() Option { return func(c *runConfig) { c.timeline = true } }
 // Run simulates the workload (one benchmark name per core) under the given
 // scheme and returns the scored result.
 func (s *System) Run(apps []string, scheme Scheme, opts ...Option) (*Result, error) {
-	rc := runConfig{model: core.Model2}
-	if scheme == RM3 {
-		rc.model = core.Model3
-	}
+	rc := runConfig{model: scheme.DefaultModel()}
 	for _, o := range opts {
 		o(&rc)
 	}
@@ -327,8 +324,8 @@ type ServeSpec struct {
 	// (default 16).
 	AuditSamples int
 	// MaxInflight bounds concurrently served decide/score requests; at
-	// the limit the server sheds load with 503 + Retry-After (0 =
-	// default 1024, negative disables the gate).
+	// the limit the server sheds load with 503 + Retry-After (default
+	// 1024 when zero or negative).
 	MaxInflight int
 }
 

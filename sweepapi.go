@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"qosrma/internal/emit"
 	"qosrma/internal/sweep"
 	"qosrma/internal/workload"
 )
@@ -92,10 +93,10 @@ func (s *System) SweepCacheStats() (hits, misses int64) {
 
 // WriteSweepCSV renders a sweep result as CSV.
 func WriteSweepCSV(w io.Writer, res *SweepResult) error {
-	return sweep.WriteCSV(w, res.Rows())
+	return emit.Write("csv", w, res.Rows())
 }
 
 // WriteSweepJSON renders a sweep result as JSON lines.
 func WriteSweepJSON(w io.Writer, res *SweepResult) error {
-	return sweep.WriteJSON(w, res.Rows())
+	return emit.Write("json", w, res.Rows())
 }
